@@ -1,14 +1,19 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/fsgen"
+	"repro/internal/ntos/fsys"
 	"repro/internal/ntos/machine"
 	"repro/internal/ntos/types"
+	"repro/internal/ntos/volume"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/tracefmt"
 )
 
@@ -191,4 +196,44 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestSection5OrderIndependent renders §5 from the same snapshots in
+// several input orders: two volumes carry two snapshots each (so the
+// change-attribution exemplar has a choice to make) and one volume has
+// a single snapshot that sorts first. Every order must render the same
+// bytes.
+func TestSection5OrderIndependent(t *testing.T) {
+	var snaps []*snapshot.Snapshot
+	for i, m := range []string{"m1", "m2"} {
+		fs := fsys.New(volume.FlavorNTFS, 8<<30)
+		lay := fsgen.PopulateLocal(fs, sim.NewRNG(uint64(40+i)), fsgen.Config{
+			User: "user" + m, Category: machine.Personal, Now: 0,
+		})
+		snaps = append(snaps, snapshot.Take(m, `C:`, fs, 0))
+		for j := 0; j < 10*(i+1); j++ {
+			fs.CreateFile(fmt.Sprintf(`%s\cache0\n%d.gif`, lay.WebCache, j), 2000, types.AttrNormal, sim.Time(sim.Hour))
+		}
+		snaps = append(snaps, snapshot.Take(m, `C:`, fs, sim.Time(sim.Day)))
+	}
+	fs := fsys.New(volume.FlavorNTFS, 8<<30)
+	fsgen.PopulateLocal(fs, sim.NewRNG(39), fsgen.Config{User: "userm0", Category: machine.Personal, Now: 0})
+	snaps = append(snaps, snapshot.Take("m0", `C:`, fs, 0))
+
+	r := synth(t)
+	want := r.Section5(snaps)
+	if !strings.Contains(want, "m1|C:: +10 ") {
+		t.Fatalf("exemplar is not the smallest multi-snapshot volume:\n%s", want)
+	}
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 20; trial++ {
+		order := append([]*snapshot.Snapshot(nil), snaps...)
+		for i := len(order) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+		if got := r.Section5(order); got != want {
+			t.Fatalf("order %d rendered differently:\n%s\nwant:\n%s", trial, got, want)
+		}
+	}
 }
