@@ -92,15 +92,20 @@ const (
 	ScanAttributes
 	ScanFsControl
 	ScanName
+	ScanMajor
+	ScanMinor
+	ScanInfoClass
 )
 
 // ScanAllNumeric selects every projectable column except the 64-byte
 // names — the widest projection that still skips name-blob inflation,
-// and the column set the vectorized compute kernels consume.
+// and the column set of an analysis trace table. With ScanName it
+// covers every field of a record (Batch.Record).
 const ScanAllNumeric = ScanKind | ScanStart | ScanEnd | ScanOffset |
 	ScanLength | ScanReturned | ScanFileSize | ScanProc | ScanFileID |
 	ScanStatus | ScanFlags | ScanAnnot | ScanFOFl | ScanBytePos |
-	ScanDisposition | ScanOptions | ScanAttributes | ScanFsControl
+	ScanDisposition | ScanOptions | ScanAttributes | ScanFsControl |
+	ScanMajor | ScanMinor | ScanInfoClass
 
 // Batch is the result of a column-projected scan: only the requested
 // columns are non-nil, all of equal length N, row i across the slices
@@ -127,6 +132,9 @@ type Batch struct {
 	Attributes    []types.FileAttributes
 	FsControls    []types.FsControlCode
 	Names         []byte
+	Majors        []types.MajorFunction
+	Minors        []types.MinorFunction
+	InfoClasses   []types.SetInfoClass
 }
 
 // Reset truncates the batch in place, keeping every column's capacity.
@@ -154,6 +162,9 @@ func (b *Batch) Reset() {
 	b.Attributes = b.Attributes[:0]
 	b.FsControls = b.FsControls[:0]
 	b.Names = b.Names[:0]
+	b.Majors = b.Majors[:0]
+	b.Minors = b.Minors[:0]
+	b.InfoClasses = b.InfoClasses[:0]
 }
 
 // scanCols maps the projection onto the physical columns that must be
@@ -216,6 +227,15 @@ func scanCols(p *Predicate, cols ColumnSet) (need [numColumns]bool) {
 	}
 	if cols&ScanName != 0 {
 		need[ColName] = true
+	}
+	if cols&ScanMajor != 0 {
+		need[ColMajor] = true
+	}
+	if cols&ScanMinor != 0 {
+		need[ColMinor] = true
+	}
+	if cols&ScanInfoClass != 0 {
+		need[ColInfoClass] = true
 	}
 	return need
 }
@@ -473,6 +493,9 @@ func (b *Batch) Grow(cols ColumnSet, n int) {
 	reserve(ScanAttributes, func() { b.Attributes = extend(b.Attributes, n)[:len(b.Attributes)] })
 	reserve(ScanFsControl, func() { b.FsControls = extend(b.FsControls, n)[:len(b.FsControls)] })
 	reserve(ScanName, func() { b.Names = extend(b.Names, n*tracefmt.NameLen)[:len(b.Names)] })
+	reserve(ScanMajor, func() { b.Majors = extend(b.Majors, n)[:len(b.Majors)] })
+	reserve(ScanMinor, func() { b.Minors = extend(b.Minors, n)[:len(b.Minors)] })
+	reserve(ScanInfoClass, func() { b.InfoClasses = extend(b.InfoClasses, n)[:len(b.InfoClasses)] })
 }
 
 // appendBlock folds one decoded block into the batch: a single selection
@@ -564,6 +587,15 @@ func (it *BlockScanner) appendBlock(b *Batch, bv *blockVals) {
 	}
 	if cols&ScanFsControl != 0 {
 		b.FsControls = gatherNum(b.FsControls, bv.u[ColFsControl], sel)
+	}
+	if cols&ScanMajor != 0 {
+		b.Majors = gatherNum(b.Majors, bv.u[ColMajor], sel)
+	}
+	if cols&ScanMinor != 0 {
+		b.Minors = gatherNum(b.Minors, bv.u[ColMinor], sel)
+	}
+	if cols&ScanInfoClass != 0 {
+		b.InfoClasses = gatherNum(b.InfoClasses, bv.u[ColInfoClass], sel)
 	}
 	if cols&ScanName != 0 {
 		const nl = tracefmt.NameLen

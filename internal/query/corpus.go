@@ -151,11 +151,11 @@ func (c *Corpus) DataSet() *analysis.DataSet { return c.ds }
 func (c *Corpus) Parts() *core.Corpus { return c.parts }
 
 // ScanMachine runs one machine's scan: pushdown through the colstore
-// engine when a segment exists, an equivalent row-order filter over the
-// resident records otherwise. Both paths produce rows in stream order,
-// so the same corpus answers identically from either layout. The stats
-// are the scan's own block ledger (zero for the row fallback, which has
-// no blocks to skip).
+// engine when a segment exists, the same predicate and projection filled
+// from the resident records otherwise. Both paths produce rows in stream
+// order, so the same corpus answers identically from either layout. The
+// stats are the scan's own block ledger (zero for the row fallback,
+// which has no blocks to skip).
 func (c *Corpus) ScanMachine(name string, p colstore.Predicate, cols colstore.ColumnSet) (*colstore.Batch, colstore.ScanStats, error) {
 	if seg := c.segs[name]; seg != nil {
 		return seg.ScanColumnsStats(p, cols)
@@ -164,91 +164,7 @@ func (c *Corpus) ScanMachine(name string, p colstore.Predicate, cols colstore.Co
 	if !ok {
 		return nil, colstore.ScanStats{}, fmt.Errorf("%w for machine %q", collect.ErrNoRecords, name)
 	}
-	return scanRows(recs, p, cols), colstore.ScanStats{}, nil
-}
-
-// scanRows is the row-fallback scan: the exact predicate applied to each
-// record in stream order, projected into the same Batch shape the
-// columnar scan produces.
-func scanRows(recs []tracefmt.Record, p colstore.Predicate, cols colstore.ColumnSet) *colstore.Batch {
-	var want *[256]bool
-	if len(p.Kinds) > 0 {
-		var w [256]bool
-		for _, k := range p.Kinds {
-			w[byte(k)] = true
-		}
-		want = &w
-	}
-	out := &colstore.Batch{}
-	for i := range recs {
-		r := &recs[i]
-		if want != nil && !want[byte(r.Kind)] {
-			continue
-		}
-		if p.MinStart > 0 && r.Start < p.MinStart {
-			continue
-		}
-		if p.MaxStart > 0 && r.Start > p.MaxStart {
-			continue
-		}
-		out.N++
-		if cols&colstore.ScanKind != 0 {
-			out.Kinds = append(out.Kinds, r.Kind)
-		}
-		if cols&colstore.ScanStart != 0 {
-			out.Starts = append(out.Starts, r.Start)
-		}
-		if cols&colstore.ScanEnd != 0 {
-			out.Ends = append(out.Ends, r.End)
-		}
-		if cols&colstore.ScanOffset != 0 {
-			out.Offsets = append(out.Offsets, r.Offset)
-		}
-		if cols&colstore.ScanLength != 0 {
-			out.Lengths = append(out.Lengths, r.Length)
-		}
-		if cols&colstore.ScanReturned != 0 {
-			out.Returns = append(out.Returns, r.Returned)
-		}
-		if cols&colstore.ScanFileSize != 0 {
-			out.FileSizes = append(out.FileSizes, r.FileSize)
-		}
-		if cols&colstore.ScanProc != 0 {
-			out.Procs = append(out.Procs, r.Proc)
-		}
-		if cols&colstore.ScanFileID != 0 {
-			out.FileIDs = append(out.FileIDs, r.FileID)
-		}
-		if cols&colstore.ScanStatus != 0 {
-			out.Statuses = append(out.Statuses, r.Status)
-		}
-		if cols&colstore.ScanFlags != 0 {
-			out.Flags = append(out.Flags, r.Flags)
-		}
-		if cols&colstore.ScanAnnot != 0 {
-			out.Annots = append(out.Annots, r.Annot)
-		}
-		if cols&colstore.ScanFOFl != 0 {
-			out.FOFls = append(out.FOFls, r.FOFl)
-		}
-		if cols&colstore.ScanBytePos != 0 {
-			out.BytePositions = append(out.BytePositions, r.BytePos)
-		}
-		if cols&colstore.ScanDisposition != 0 {
-			out.Dispositions = append(out.Dispositions, r.Disposition)
-		}
-		if cols&colstore.ScanOptions != 0 {
-			out.Options = append(out.Options, r.Options)
-		}
-		if cols&colstore.ScanAttributes != 0 {
-			out.Attributes = append(out.Attributes, r.Attributes)
-		}
-		if cols&colstore.ScanFsControl != 0 {
-			out.FsControls = append(out.FsControls, r.FsControl)
-		}
-		if cols&colstore.ScanName != 0 {
-			out.Names = append(out.Names, r.Name[:]...)
-		}
-	}
-	return out
+	b := &colstore.Batch{}
+	b.AppendRecords(recs, p, cols)
+	return b, colstore.ScanStats{}, nil
 }
