@@ -523,7 +523,7 @@ func BenchmarkReplay(b *testing.B) {
 	ds, _ := corpus(b)
 	var records int
 	for _, mt := range ds.Machines {
-		records += len(mt.Records)
+		records += mt.Len()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -629,7 +629,7 @@ func BenchmarkDataSetDecode(b *testing.B) {
 				}
 				if i == 0 {
 					for _, mt := range ds.Machines {
-						records += len(mt.Records)
+						records += mt.Len()
 					}
 					b.ReportMetric(float64(len(ds.Machines)), "machines")
 				}
@@ -657,7 +657,7 @@ func BenchmarkComputeResults(b *testing.B) {
 				b.StopTimer()
 				ds := &analysis.DataSet{}
 				for _, mt := range base.Machines {
-					fresh := analysis.NewMachineTraceOwned(mt.Name, mt.Category, mt.Records)
+					fresh := analysis.NewMachineTrace(mt.Name, mt.Category, mt.Rows())
 					fresh.ProcNames = mt.ProcNames
 					ds.Machines = append(ds.Machines, fresh)
 				}

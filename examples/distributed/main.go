@@ -96,11 +96,12 @@ func main() {
 	// Analyse the server-side corpus.
 	ds := &analysis.DataSet{}
 	for i, name := range store.Machines() {
-		recs, err := store.Records(name)
+		mt, err := analysis.NewMachineTraceFrom(name, machines[i].Category, func(fill func([]tracefmt.Record)) error {
+			return store.ReadChunks(name, fill)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		mt := analysis.NewMachineTrace(name, machines[i].Category, recs)
 		mt.ProcNames = machines[i].ProcNames
 		ds.Machines = append(ds.Machines, mt)
 	}

@@ -1,10 +1,17 @@
 // Package analysis reimplements the paper's §4 analysis pipeline: the
-// de-normalized star schema with two fact tables — the trace table (raw
-// records) and the instance table (one row per file open–close session,
-// with summary data for all operations on the object during its
-// lifetime) — plus the dimension tables (machine, process, file-type
-// category hierarchy) used as category axes, and the §3.3 filtering of
-// cache-manager-induced paging duplicates.
+// de-normalized star schema with two fact tables — the trace table (one
+// column vector per record field, sorted by start time) and the instance
+// table (one row per file open–close session, with summary data for all
+// operations on the object during its lifetime) — plus the dimension
+// tables (machine, process, file-type category hierarchy) used as
+// category axes, and the §3.3 filtering of cache-manager-induced paging
+// duplicates.
+//
+// A MachineTrace holds its trace in exactly one form, the column table
+// (a colstore.Batch), whether it was built from a columnar segment or
+// from row records, and every measure has exactly one kernel, folding
+// those column vectors. Whole records are rebuilt only when a consumer
+// asks for them (Rows).
 //
 // The package doubles as the corpus query engine: every expensive view
 // derived from the trace table — the name map, the instance table, the
@@ -16,7 +23,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -27,27 +33,28 @@ import (
 	"repro/internal/tracefmt"
 )
 
-// MachineTrace is one machine's trace stream plus its dimensions.
+// MachineTrace is one machine's trace plus its dimensions. The trace is
+// held as one fact table — every record field but the name, one column
+// vector per field, sorted by start time — and every kernel folds those
+// vectors directly. Whole records exist only on request (Rows).
 type MachineTrace struct {
 	Name     string
 	Category machine.Category
-	// Records is the trace stream sorted by start timestamp. The slice is
-	// owned by the MachineTrace; mutating it after construction
-	// invalidates the lazily derived views below.
-	//
-	// Columnar-backed traces (NewMachineTraceColumnar) leave Records nil
-	// until a consumer actually needs rows: read it through Rows(), which
-	// materializes on first use. The compute kernels never do — they fold
-	// the column vectors in tab directly.
-	Records []tracefmt.Record
 	// ProcNames maps pid → image name (the process dimension). Optional.
 	ProcNames map[uint32]string
 
-	// Columnar backing (nil on row-decoded traces): tab holds every
-	// numeric column in by-start sorted order, seg the segment it was
-	// scanned from, and perm the stable by-start permutation from stream
-	// order (nil when the stream was already sorted).
-	tab  *colstore.Batch
+	// tab is the trace table in by-start order (stable: records sharing
+	// a timestamp keep stream order).
+	tab *colstore.Batch
+	// Names of a trace built from records: the blobs of the records that
+	// carry a name, as ascending table positions namePos with
+	// tracefmt.NameLen bytes each in nameBlobs — the sparse form of the
+	// segment writer's name column.
+	namePos   []int32
+	nameBlobs []byte
+	// A trace built from a segment keeps the segment (names and whole
+	// rows are read from it on demand) and the stable by-start
+	// permutation from stream order (nil when the stream was sorted).
 	seg  *colstore.Segment
 	perm []int32
 
@@ -60,6 +67,7 @@ type MachineTrace struct {
 	idxOnce   sync.Once
 	idx       *MachineIndex
 	rowsOnce  sync.Once
+	rows      []tracefmt.Record
 }
 
 // DataSet is the full study corpus.
@@ -72,113 +80,79 @@ type DataSet struct {
 	idx     *Index
 }
 
-// NewMachineTrace wraps raw records in a sorted view (trace buffers from
-// different volumes of one machine interleave at flush granularity). The
-// caller's slice is left untouched: the records are copied before
-// sorting, so a corpus can be shared with replay or other consumers that
-// depend on the original order.
-func NewMachineTrace(name string, cat machine.Category, recs []tracefmt.Record) *MachineTrace {
-	owned := make([]tracefmt.Record, len(recs))
-	copy(owned, recs)
-	return NewMachineTraceOwned(name, cat, owned)
-}
+// Table returns the trace table: one column vector per record field
+// (names excepted), sorted by start time. Index positions are row
+// numbers of this table. The batch is shared and must not be mutated.
+func (mt *MachineTrace) Table() *colstore.Batch { return mt.tab }
 
-// NewMachineTraceOwned is NewMachineTrace taking ownership of recs: the
-// slice is sorted in place and must not be used by the caller afterwards.
-// This is the allocation-free path for freshly decoded streams.
-func NewMachineTraceOwned(name string, cat machine.Category, recs []tracefmt.Record) *MachineTrace {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
-	return &MachineTrace{
-		Name:     name,
-		Category: cat,
-		Records:  recs,
-	}
-}
-
-// Len is the number of records in the trace, available without
-// materializing rows on columnar-backed traces.
-func (mt *MachineTrace) Len() int {
-	if mt.tab != nil {
-		return mt.tab.N
-	}
-	return len(mt.Records)
-}
+// Len is the number of records in the trace.
+func (mt *MachineTrace) Len() int { return mt.tab.N }
 
 // FirstStart returns the earliest record timestamp (0 on empty traces).
 func (mt *MachineTrace) FirstStart() sim.Time {
-	if mt.tab != nil {
-		if mt.tab.N == 0 {
-			return 0
-		}
-		return mt.tab.Starts[0]
-	}
-	if len(mt.Records) == 0 {
+	if mt.tab.N == 0 {
 		return 0
 	}
-	return mt.Records[0].Start
+	return mt.tab.Starts[0]
 }
 
 // LastStart returns the latest record timestamp (0 on empty traces).
 func (mt *MachineTrace) LastStart() sim.Time {
-	if mt.tab != nil {
-		if mt.tab.N == 0 {
-			return 0
-		}
-		return mt.tab.Starts[mt.tab.N-1]
-	}
-	if len(mt.Records) == 0 {
+	if mt.tab.N == 0 {
 		return 0
 	}
-	return mt.Records[len(mt.Records)-1].Start
+	return mt.tab.Starts[mt.tab.N-1]
 }
 
-// Rows returns the trace as materialized records in by-start order. On
-// row-decoded traces this is Records itself. On columnar-backed traces
-// the rows are decoded from the segment on first use and cached — the
-// compute kernels never take this path, but replay, synthesis and the
-// cache simulator consume whole structured rows and pay the one-time
-// materialization here.
+// Rows returns the trace as whole records in by-start order, built on
+// first use and cached — the one record view, for consumers that need
+// structured rows (replay, synthesis). A trace built from records
+// rebuilds them from the table and its name blobs; a trace built from a
+// segment decodes the segment.
 //
 // Every block CRC was already verified by the construction-time column
 // scan, so a decode failure here means the segment mutated underneath
 // us; that invariant violation panics rather than returning partial
 // rows.
 func (mt *MachineTrace) Rows() []tracefmt.Record {
-	if mt.seg == nil {
-		return mt.Records
-	}
 	mt.rowsOnce.Do(func() {
-		recs, err := mt.seg.ReadAll()
-		if err != nil {
-			panic(fmt.Sprintf("analysis: materializing columnar trace %s: %v", mt.Name, err))
-		}
-		if mt.perm != nil {
-			sorted := make([]tracefmt.Record, len(recs))
-			for i, p := range mt.perm {
-				sorted[i] = recs[p]
+		if mt.seg != nil {
+			recs, err := mt.seg.ReadAll()
+			if err != nil {
+				panic(fmt.Sprintf("analysis: materializing columnar trace %s: %v", mt.Name, err))
 			}
-			recs = sorted
+			mt.rows = permute(recs, mt.perm)
+			return
 		}
-		mt.Records = recs
+		rows := make([]tracefmt.Record, mt.tab.N)
+		for i := range rows {
+			rows[i] = mt.tab.Record(i)
+		}
+		for k, i := range mt.namePos {
+			copy(rows[i].Name[:], mt.nameBlobs[k*tracefmt.NameLen:])
+		}
+		mt.rows = rows
 	})
-	return mt.Records
+	return mt.rows
 }
 
 // Names maps file-object ids to paths, indexed from EvNameMap records on
-// first use. The returned map is shared and must not be mutated.
-// Columnar-backed traces build it from a name-column pushdown scan that
-// touches no other payloads.
+// first use (a later record wins). The returned map is shared and must
+// not be mutated. A trace built from a segment reads the names with a
+// name-column pushdown scan that touches no other payloads.
 func (mt *MachineTrace) Names() map[types.FileObjectID]string {
 	mt.namesOnce.Do(func() {
-		if mt.tab != nil {
-			mt.names = namesColumnar(mt)
-			return
+		pos, blobs := mt.namePos, mt.nameBlobs
+		if mt.seg != nil {
+			pos, blobs = segmentNames(mt)
 		}
-		names := make(map[types.FileObjectID]string)
-		for i := range mt.Records {
-			if mt.Records[i].Kind == tracefmt.EvNameMap {
-				names[mt.Records[i].FileID] = mt.Records[i].NameString()
+		t := mt.tab
+		names := make(map[types.FileObjectID]string, len(pos))
+		for k, i := range pos {
+			if t.Kinds[i] != tracefmt.EvNameMap {
+				continue
 			}
+			names[t.FileIDs[i]] = nameString(blobs[k*tracefmt.NameLen : (k+1)*tracefmt.NameLen])
 		}
 		mt.names = names
 	})
@@ -205,17 +179,21 @@ func (mt *MachineTrace) Instances() []*Instance {
 // IsCachePaging reports whether a record is cache-manager-originated
 // paging I/O — the §3.3 "duplicate actions" the analysis must filter from
 // user-level accounting while keeping VM image/section paging.
-func IsCachePaging(r *tracefmt.Record) bool {
-	return r.Kind.IsPaging() && r.FileID >= tracefmt.PagingObjectIDBase
+func IsCachePaging(r *tracefmt.Record) bool { return isCachePaging(r.Kind, r.FileID) }
+
+func isCachePaging(k tracefmt.EventKind, id types.FileObjectID) bool {
+	return k.IsPaging() && id >= tracefmt.PagingObjectIDBase
 }
 
 // IsDataTransfer reports whether a record is an application-level read or
 // write that actually moved bytes (FastIO refusals excluded).
-func IsDataTransfer(r *tracefmt.Record) bool {
-	switch r.Kind {
+func IsDataTransfer(r *tracefmt.Record) bool { return isDataTransfer(r.Kind, r.Annot, r.Status) }
+
+func isDataTransfer(k tracefmt.EventKind, annot uint8, status types.Status) bool {
+	switch k {
 	case tracefmt.EvRead, tracefmt.EvWrite, tracefmt.EvFastRead, tracefmt.EvFastWrite,
 		tracefmt.EvFastMdlRead, tracefmt.EvFastMdlWrite:
-		return r.Annot&tracefmt.AnnotFastRefused == 0 && !r.Status.IsError()
+		return annot&tracefmt.AnnotFastRefused == 0 && !status.IsError()
 	}
 	return false
 }

@@ -198,16 +198,44 @@ func (s *Store) CompressedBytes() int64 {
 // be finalized first. A machine with no stream yields ErrNoRecords;
 // any other error is a state or decode failure.
 func (s *Store) Records(machine string) ([]tracefmt.Record, error) {
+	var recs []tracefmt.Record
+	err := s.decode(machine, func(data []byte, count int) error {
+		recs = make([]tracefmt.Record, count)
+		return decodeStream(data, count, recs, func([]tracefmt.Record) {})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// ReadChunks decodes one machine's stream like Records, but hands the
+// records to fn a chunk at a time, in stream order, instead of as one
+// slice — so a consumer that folds them into another form never holds
+// the whole decoded stream. fn must not keep the chunk: its backing
+// array is reused.
+func (s *Store) ReadChunks(machine string, fn func([]tracefmt.Record)) error {
+	return s.decode(machine, func(data []byte, count int) error {
+		return decodeStream(data, count, make([]tracefmt.Record, min(count, chunkRecords)), fn)
+	})
+}
+
+// chunkRecords is ReadChunks' chunk length (~640 KB of records).
+const chunkRecords = 4096
+
+// decode runs dec over one machine's finalized compressed stream under
+// the stream lock. A machine with no stream yields ErrNoRecords.
+func (s *Store) decode(machine string, dec func(data []byte, count int) error) error {
 	st, _ := s.get(machine, false)
 	if st == nil {
-		return nil, fmt.Errorf("%w for machine %q", ErrNoRecords, machine)
+		return fmt.Errorf("%w for machine %q", ErrNoRecords, machine)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.closed {
-		return nil, fmt.Errorf("collect: stream %q not finalized", machine)
+		return fmt.Errorf("collect: stream %q not finalized", machine)
 	}
-	return decodeStream(st.buf.Bytes(), st.count)
+	return dec(st.buf.Bytes(), st.count)
 }
 
 // flatePool and readerPool recycle the DEFLATE state (~40 KB of window
@@ -223,39 +251,44 @@ var (
 	}
 )
 
-// decodeStream inflates and decodes a finalized stream into a slice
-// pre-sized from the stored record count, so the result is exactly one
-// allocation regardless of stream length. The stored count is trusted
-// but verified: a stream that ends early or holds extra records is a
-// corruption error, not a silent truncation.
-func decodeStream(data []byte, count int) ([]tracefmt.Record, error) {
+// decodeStream inflates and decodes a finalized stream into buf, handing
+// each filled chunk (all of buf but possibly the last) to fn; a buf of
+// the stored record count decodes the stream in one exactly-sized
+// allocation. The stored count is trusted but verified: a stream that
+// ends early or holds extra records is a corruption error, not a silent
+// truncation.
+func decodeStream(data []byte, count int, buf []tracefmt.Record, fn func([]tracefmt.Record)) error {
 	zr := flatePool.Get().(io.ReadCloser)
 	defer flatePool.Put(zr)
 	if err := zr.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
-		return nil, err
+		return err
 	}
 	rd := readerPool.Get().(*tracefmt.Reader)
 	defer readerPool.Put(rd)
 	rd.Reset(zr)
 
-	recs := make([]tracefmt.Record, count)
-	for i := range recs {
-		if err := rd.ReadInto(&recs[i]); err != nil {
-			if err == io.EOF {
-				return nil, fmt.Errorf("%w: stream ended after %d of %d records", ErrCountMismatch, i, count)
+	for done := 0; done < count; {
+		n := min(len(buf), count-done)
+		for i := 0; i < n; i++ {
+			if err := rd.ReadInto(&buf[i]); err != nil {
+				if err == io.EOF {
+					return fmt.Errorf("%w: stream ended after %d of %d records", ErrCountMismatch, done+i, count)
+				}
+				return err
 			}
-			return nil, err
 		}
+		fn(buf[:n])
+		done += n
 	}
 	var extra tracefmt.Record
 	switch err := rd.ReadInto(&extra); err {
 	case io.EOF:
 	case nil:
-		return nil, fmt.Errorf("%w: stream holds more than the recorded %d records", ErrCountMismatch, count)
+		return fmt.Errorf("%w: stream holds more than the recorded %d records", ErrCountMismatch, count)
 	default:
-		return nil, err
+		return err
 	}
-	return recs, zr.Close()
+	return zr.Close()
 }
 
 // ExportStream copies out one machine's finalized compressed stream and

@@ -504,7 +504,9 @@ func (s *Study) DataSetWorkers(workers int) (*analysis.DataSet, error) {
 		dsp := s.Cfg.Trace.StartTrace("decode", sp.name,
 			trace.HashID("decode", sp.name), nil)
 		defer dsp.Finish()
-		recs, err := s.Store.Records(sp.name)
+		mt, err := analysis.NewMachineTraceFrom(sp.name, sp.cat, func(fill func([]tracefmt.Record)) error {
+			return s.Store.ReadChunks(sp.name, fill)
+		})
 		if errors.Is(err, collect.ErrNoRecords) {
 			// A machine may legitimately have produced no records.
 			return
@@ -513,10 +515,7 @@ func (s *Study) DataSetWorkers(workers int) (*analysis.DataSet, error) {
 			slots[i].err = fmt.Errorf("core: %s: %w", sp.name, err)
 			return
 		}
-		dsp.AnnotateInt("records", int64(len(recs)))
-		// Records hands over a freshly decoded slice nothing else holds,
-		// so the trace can take ownership instead of copying.
-		mt := analysis.NewMachineTraceOwned(sp.name, sp.cat, recs)
+		dsp.AnnotateInt("records", int64(mt.Len()))
 		mt.ProcNames = s.procNames(i)
 		slots[i].mt = mt
 	}

@@ -259,11 +259,11 @@ func TestDataSetWorkersDeterministic(t *testing.T) {
 			if mt.Name != want.Name {
 				t.Fatalf("workers=%d machine %d = %q, want %q", workers, i, mt.Name, want.Name)
 			}
-			if len(mt.Records) != len(want.Records) {
-				t.Fatalf("workers=%d %s: %d records, want %d", workers, mt.Name, len(mt.Records), len(want.Records))
+			if len(mt.Rows()) != len(want.Rows()) {
+				t.Fatalf("workers=%d %s: %d records, want %d", workers, mt.Name, len(mt.Rows()), len(want.Rows()))
 			}
-			for j := range mt.Records {
-				if mt.Records[j] != want.Records[j] {
+			for j := range mt.Rows() {
+				if mt.Rows()[j] != want.Rows()[j] {
 					t.Fatalf("workers=%d %s: record %d differs", workers, mt.Name, j)
 				}
 			}

@@ -112,16 +112,17 @@ func (r *Result) DataSet(orig *analysis.DataSet) (*analysis.DataSet, error) {
 	}
 	out := &analysis.DataSet{}
 	for _, name := range r.Store.Machines() {
-		recs, err := r.Store.Records(name)
-		if err != nil {
-			return nil, err
-		}
 		var cat machine.Category
 		var procs map[uint32]string
 		if d := dims[name]; d != nil {
 			cat, procs = d.Category, d.ProcNames
 		}
-		mt := analysis.NewMachineTraceOwned(name, cat, recs)
+		mt, err := analysis.NewMachineTraceFrom(name, cat, func(fill func([]tracefmt.Record)) error {
+			return r.Store.ReadChunks(name, fill)
+		})
+		if err != nil {
+			return nil, err
+		}
 		mt.ProcNames = procs
 		out.Machines = append(out.Machines, mt)
 	}
