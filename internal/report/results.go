@@ -62,15 +62,7 @@ func Compute(ds *analysis.DataSet) *Results {
 // ComputeWorkers is Compute with an explicit worker count (0 or 1 =
 // sequential).
 func ComputeWorkers(ds *analysis.DataSet, workers int) *Results {
-	return ComputeWorkersObs(ds, workers, nil)
-}
-
-// ComputeWorkersObs is ComputeWorkers with an optional wall-clock
-// histogram receiving one per-machine measure duration (microseconds)
-// per machine — the analysis-side instrumentation hook. A nil histogram
-// adds no timing calls, and timing never alters the computed results.
-func ComputeWorkersObs(ds *analysis.DataSet, workers int, perMachine *obs.Histogram) *Results {
-	return ComputeWorkersTimed(ds, workers, perMachine, nil)
+	return ComputeWorkersTrace(ds, workers, nil, nil, nil)
 }
 
 // KernelTimers are the per-kernel wall-clock histograms of the compute
@@ -101,56 +93,42 @@ func NewKernelTimers(r *obs.Registry) *KernelTimers {
 	}
 }
 
-// ComputeWorkersTimed is ComputeWorkersObs plus optional per-kernel
-// timing. Timing never alters the computed results.
-func ComputeWorkersTimed(ds *analysis.DataSet, workers int, perMachine *obs.Histogram, kt *KernelTimers) *Results {
-	return ComputeWorkersTrace(ds, workers, perMachine, kt, nil)
-}
-
-// ComputeWorkersTrace is ComputeWorkersTimed plus optional span tracing:
-// each machine's measure pass becomes one wall-clock trace (family
-// "compute") with a child span per kernel, mirroring the KernelTimers
-// split. Trace IDs derive from the machine name, so runs over the same
-// corpus produce the same IDs. Neither timing nor tracing alters the
-// computed results.
+// ComputeWorkersTrace is ComputeWorkers with optional instrumentation,
+// every part nil-safe: perMachine receives one wall-clock observation
+// (microseconds) per machine, kt one per machine per kernel, and tr
+// records each machine's measure pass as one wall-clock trace (family
+// "compute") with a child span per kernel. Trace IDs derive from the
+// machine name, so runs over the same corpus produce the same IDs.
+// Neither timing nor tracing alters the computed results.
 func ComputeWorkersTrace(ds *analysis.DataSet, workers int, perMachine *obs.Histogram, kt *KernelTimers, tr *trace.Tracer) *Results {
 	slots := make([]machineMeasures, len(ds.Machines))
 	measure := func(i int) {
 		mt := ds.Machines[i]
 		m := &slots[i]
 		start := time.Now()
-		if kt == nil && tr == nil {
-			m.ins = mt.Instances()
-			m.lt = analysis.Lifetimes(mt)
-			m.c = analysis.Controls(mt, m.ins)
-			m.cm = analysis.Cache(mt, m.ins)
-			m.ru = analysis.Reuse(m.ins)
-			m.rs, m.ws = analysis.FastIOShares(mt)
-		} else {
-			// kt may be nil with tracing on (and vice versa): extract the
-			// histograms into nil-safe locals so one kernel walk serves
-			// every combination.
-			var hIns, hLt, hC, hCm, hRu, hF *obs.Histogram
-			if kt != nil {
-				hIns, hLt, hC, hCm, hRu, hF = kt.Instances, kt.Lifetimes, kt.Controls, kt.Cache, kt.Reuse, kt.FastIO
-			}
-			root := tr.StartTrace("compute", mt.Name, trace.HashID("compute", mt.Name), nil)
-			kernel := func(name string, h *obs.Histogram, f func()) {
-				sp := root.Child(name)
-				t0 := time.Now()
-				f()
-				h.ObserveWall(time.Since(t0))
-				sp.Finish()
-			}
-			kernel("instances", hIns, func() { m.ins = mt.Instances() })
-			kernel("lifetimes", hLt, func() { m.lt = analysis.Lifetimes(mt) })
-			kernel("controls", hC, func() { m.c = analysis.Controls(mt, m.ins) })
-			kernel("cache", hCm, func() { m.cm = analysis.Cache(mt, m.ins) })
-			kernel("reuse", hRu, func() { m.ru = analysis.Reuse(m.ins) })
-			kernel("fastio", hF, func() { m.rs, m.ws = analysis.FastIOShares(mt) })
-			root.AnnotateInt("instances", int64(len(m.ins)))
-			root.Finish()
+		// kt may be nil with tracing on (and vice versa): extract the
+		// histograms into nil-safe locals so one kernel walk serves every
+		// combination.
+		var hIns, hLt, hC, hCm, hRu, hF *obs.Histogram
+		if kt != nil {
+			hIns, hLt, hC, hCm, hRu, hF = kt.Instances, kt.Lifetimes, kt.Controls, kt.Cache, kt.Reuse, kt.FastIO
 		}
+		root := tr.StartTrace("compute", mt.Name, trace.HashID("compute", mt.Name), nil)
+		kernel := func(name string, h *obs.Histogram, f func()) {
+			sp := root.Child(name)
+			t0 := time.Now()
+			f()
+			h.ObserveWall(time.Since(t0))
+			sp.Finish()
+		}
+		kernel("instances", hIns, func() { m.ins = mt.Instances() })
+		kernel("lifetimes", hLt, func() { m.lt = analysis.Lifetimes(mt) })
+		kernel("controls", hC, func() { m.c = analysis.Controls(mt, m.ins) })
+		kernel("cache", hCm, func() { m.cm = analysis.Cache(mt, m.ins) })
+		kernel("reuse", hRu, func() { m.ru = analysis.Reuse(m.ins) })
+		kernel("fastio", hF, func() { m.rs, m.ws = analysis.FastIOShares(mt) })
+		root.AnnotateInt("instances", int64(len(m.ins)))
+		root.Finish()
 		perMachine.ObserveWall(time.Since(start))
 	}
 	if workers <= 1 {
