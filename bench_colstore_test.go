@@ -242,7 +242,8 @@ func columnarSegmentsScanOptimized(b *testing.B) (map[string][]byte, int64) {
 func BenchmarkColumnarCompute(b *testing.B) {
 	raw, total := columnarSegmentsScanOptimized(b)
 	s := fleetCorpus(b)
-	base, err := s.DataSetWorkers(8)
+	s.Cfg.Workers = 8
+	base, err := s.DataSet()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +254,8 @@ func BenchmarkColumnarCompute(b *testing.B) {
 	rowMS := map[int]float64{}
 	for _, workers := range []int{1, 4, 8} {
 		start := time.Now()
-		ds, err := s.DataSetWorkers(workers)
+		s.Cfg.Workers = workers
+		ds, err := s.DataSet()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func queryService(b *testing.B) *query.Service {
 			return
 		}
 		var c *query.Corpus
-		if c, queryErr = query.OpenCorpus(dir, nil); queryErr != nil {
+		if c, queryErr = query.OpenCorpusTrace(dir, nil, nil); queryErr != nil {
 			return
 		}
 		querySvc = query.NewService(c, query.Config{Workers: 4})

@@ -10,6 +10,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -51,7 +52,7 @@ func corpus(b *testing.B) (*analysis.DataSet, *report.Results) {
 			panic(err)
 		}
 		corpusDS = ds
-		corpusRes = report.Compute(ds)
+		corpusRes = report.ComputeWorkers(ds, runtime.GOMAXPROCS(0))
 	})
 	return corpusDS, corpusRes
 }
@@ -623,7 +624,8 @@ func BenchmarkDataSetDecode(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var records int
 			for i := 0; i < b.N; i++ {
-				ds, err := s.DataSetWorkers(workers)
+				s.Cfg.Workers = workers
+				ds, err := s.DataSet()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -646,7 +648,8 @@ func BenchmarkDataSetDecode(b *testing.B) {
 // built once per trace, so reusing traces would measure only the merge.
 func BenchmarkComputeResults(b *testing.B) {
 	s := fleetCorpus(b)
-	base, err := s.DataSetWorkers(8)
+	s.Cfg.Workers = 8
+	base, err := s.DataSet()
 	if err != nil {
 		b.Fatal(err)
 	}

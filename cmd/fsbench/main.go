@@ -35,11 +35,11 @@ func main() {
 		in := fs.String("in", "traces", "trace corpus directory")
 		out := fs.String("out", "profile.json", "output profile path")
 		fs.Parse(os.Args[2:])
-		ds, _, err := core.Load(*in)
+		c, err := core.LoadCorpusTrace(*in, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pro := synth.Fit(ds)
+		pro := synth.Fit(c.DS)
 		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatal(err)

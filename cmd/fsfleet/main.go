@@ -1,13 +1,18 @@
-// Command fsfleet runs the full §2/§3 study — 45 machines traced for
-// 4 weeks — as a sharded fleet across a worker pool. It is fstrace at
-// production scale: each machine runs on its own scheduler shard, live
-// progress (events/sec, sim:real ratio, per-shard lag) prints while the
-// fleet runs, completed machines checkpoint so an interrupted run can
-// resume, and per-machine stream hashes let two runs be compared without
+// Command fsfleet runs a simulated trace collection — the §2/§3 study: a
+// fleet of Windows NT 4.0 machines (paper: 45, traced for 4 weeks)
+// instrumented with the trace filter driver, shipping records to the
+// collection store, with daily file system snapshots — and saves the
+// corpus to a directory for fsreport, fsreplay and fsqueryd. Each machine
+// runs on its own scheduler shard across a worker pool, live progress
+// (events/sec, sim:real ratio, per-shard lag) prints while the fleet
+// runs, completed machines checkpoint so an interrupted run can resume,
+// and per-machine stream hashes let two runs be compared without
 // shipping the corpora.
 //
 // Usage:
 //
+//	fsfleet -out traces/ -machines 45 -hours 24 -seed 1
+//	fsfleet -out traces/ -hours 2 -format columnar   # colstore segments (*.fsc)
 //	fsfleet -out traces/ -workers 8 -checkpoint-dir ckpt/
 //	fsfleet -out traces/ -workers 8 -checkpoint-dir ckpt/ -resume
 //
@@ -67,8 +72,12 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "serve live Prometheus-text /metrics, /debug/spans and /debug/pprof on this address")
 		traceOut = flag.String("trace-out", "", "write the run's span trees as Chrome trace_event JSON here (load in Perfetto)")
 		top      = flag.Bool("top", false, "repaint a top(1)-style per-shard view instead of one-line progress")
+		format   = flag.String("format", "row", "saved corpus layout: row (*.trz) or columnar (*.fsc)")
 	)
 	flag.Parse()
+	if *format != "row" && *format != "columnar" {
+		log.Fatalf("-format must be row or columnar (got %q)", *format)
+	}
 
 	// One registry instruments the whole process (fleet run or collection
 	// server). Metrics and spans are observational only: the corpus is
@@ -117,6 +126,7 @@ func main() {
 		Resume:          *resume,
 		CollectAddr:     *collAddr,
 		NetSink:         agent.NetSinkConfig{SpillSlots: *spill},
+		Columnar:        *format == "columnar",
 		Obs:             reg,
 		Trace:           tracer,
 	})
@@ -241,7 +251,7 @@ func main() {
 	if err := study.Save(*out); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "saved corpus to %s\n", *out)
+	fmt.Fprintf(os.Stderr, "saved %s corpus to %s\n", *format, *out)
 }
 
 // repaintTop redraws the top(1)-style fleet view in place, erasing to the
@@ -269,7 +279,7 @@ func runServer(addr, out string, reg *obs.Registry) {
 		log.Fatal(err)
 	}
 	store := collect.NewStore()
-	srv := collect.ServeObs(ln, store, reg)
+	srv := collect.Serve(ln, store, reg)
 	fmt.Fprintf(os.Stderr, "collection server listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,4 +1,4 @@
-// Command fsreplay re-drives a trace corpus saved by fstrace through a
+// Command fsreplay re-drives a trace corpus saved by fsfleet through a
 // freshly built simulated NT stack, and optionally validates that the
 // replayed trace reproduces the original's headline metrics.
 //
@@ -22,7 +22,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fsreplay: ")
-	in := flag.String("in", "traces", "trace corpus directory (from fstrace)")
+	in := flag.String("in", "traces", "trace corpus directory (from fsfleet)")
 	modeName := flag.String("mode", "fast", "replay clock: fast (back-to-back) or faithful (recorded timestamps)")
 	validate := flag.Bool("validate", false, "diff replayed-vs-original metrics; exit 1 outside tolerance")
 	seed := flag.Uint64("seed", 1, "seed for the replayed machines' random streams")
@@ -36,10 +36,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ds, _, err := core.Load(*in)
+	c, err := core.LoadCorpusTrace(*in, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := c.DS
 	if len(ds.Machines) == 0 {
 		log.Fatal("no machine traces found in ", *in)
 	}

@@ -1,11 +1,13 @@
 // Command fsreport runs a study end-to-end (or loads a saved corpus) and
-// prints the complete paper-versus-measured report: every table, every
-// figure, and the section summaries, in publication order.
+// prints the paper-versus-measured report: with no arguments every
+// table, every figure and the section summaries in publication order;
+// with section names only those sections, in the order given.
 //
 // Usage:
 //
 //	fsreport -machines 20 -hours 12 -seed 1
 //	fsreport -in traces/
+//	fsreport -in traces/ table2 figure10 section9
 package main
 
 import (
@@ -13,6 +15,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -24,22 +29,32 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fsreport: ")
 	var (
-		in       = flag.String("in", "", "load a saved corpus instead of running a study")
+		in       = flag.String("in", "", "load a saved corpus (from fsfleet) instead of running a study")
 		machines = flag.Int("machines", 15, "fleet size when running a fresh study")
 		hours    = flag.Float64("hours", 8, "simulated hours when running a fresh study")
 		seed     = flag.Uint64("seed", 1, "study seed")
 	)
 	flag.Parse()
 
+	names, valid := flag.Args(), report.SectionNames()
+	for _, n := range names {
+		if !slices.Contains(valid, n) {
+			log.Fatalf("unknown section %q (valid: %s)", n, strings.Join(valid, " "))
+		}
+	}
+
 	var r *report.Results
 	var snaps []*snapshot.Snapshot
 	if *in != "" {
-		ds, loadedSnaps, err := core.Load(*in)
+		c, err := core.LoadCorpusTrace(*in, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		snaps = loadedSnaps
-		r = report.Compute(ds)
+		if len(c.DS.Machines) == 0 {
+			log.Fatal("no machine traces found in ", *in)
+		}
+		snaps = c.Snaps
+		r = report.ComputeWorkers(c.DS, runtime.GOMAXPROCS(0))
 	} else {
 		fmt.Fprintf(os.Stderr, "running %d machines for %.1f simulated hours...\n", *machines, *hours)
 		study := core.NewStudy(core.Config{
@@ -62,17 +77,15 @@ func main() {
 			r.TotalRecords(), len(r.DS.Machines))
 	}
 
-	sections := []func() string{
-		r.Table1, r.Table2, r.Table3,
-		r.Figure1, r.Figure2, r.Figure3, r.Figure4, r.Figure5,
-		r.Figure6, r.Figure7, r.Figure8, r.Figure9, r.Figure10,
-		r.Figure11, r.Figure12, r.Figure13, r.Figure14,
-		func() string { return r.Section5(snaps) },
-		r.Section6Lifetimes, r.Section8, r.Section9, r.Section10,
-		r.Section7SelfSim, r.ProcessView, r.TypeView, r.FollowUps,
-		func() string { return r.CacheSweep([]float64{1, 4, 16}) },
+	sections := r.Sections(snaps)
+	if len(names) == 0 {
+		for _, s := range sections {
+			fmt.Println(s.Render())
+		}
+		return
 	}
-	for _, s := range sections {
-		fmt.Println(s())
+	for _, n := range names {
+		i := slices.IndexFunc(sections, func(s report.Section) bool { return s.Name == n })
+		fmt.Println(sections[i].Render())
 	}
 }

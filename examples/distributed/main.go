@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	store := collect.NewStore()
-	srv := collect.Serve(ln, store)
+	srv := collect.Serve(ln, store, nil)
 	fmt.Printf("collection server listening on %s\n", srv.Addr())
 
 	// Two traced machines, each with its own agent and TCP sink. They
@@ -105,7 +105,7 @@ func main() {
 		mt.ProcNames = machines[i].ProcNames
 		ds.Machines = append(ds.Machines, mt)
 	}
-	r := report.Compute(ds)
+	r := report.ComputeWorkers(ds, 1)
 	fmt.Println()
 	fmt.Println(r.Section8())
 }

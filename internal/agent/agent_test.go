@@ -173,7 +173,7 @@ func TestNetSinkEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := collect.NewStore()
-	srv := collect.Serve(ln, store)
+	srv := collect.Serve(ln, store, nil)
 
 	m, a, _ := rig(t)
 	sink, err := NewNetSink(srv.Addr(), m.Name)

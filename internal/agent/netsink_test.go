@@ -34,7 +34,7 @@ func startCollect(t *testing.T) (*collect.Server, *collect.Store) {
 		t.Fatal(err)
 	}
 	store := collect.NewStore()
-	return collect.Serve(ln, store), store
+	return collect.Serve(ln, store, nil), store
 }
 
 // TestCollectFaultsNetSinkRecovers drives a sink through a deterministic

@@ -161,7 +161,7 @@ func TestNetworkTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore()
-	srv := Serve(ln, store)
+	srv := Serve(ln, store, nil)
 
 	c1, err := Dial(srv.Addr(), "node-01")
 	if err != nil {
@@ -206,7 +206,7 @@ func TestServerRejectsBadMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore()
-	srv := Serve(ln, store)
+	srv := Serve(ln, store, nil)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

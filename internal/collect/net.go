@@ -125,14 +125,9 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 	}
 }
 
-// Serve starts accepting on ln, storing into store.
-func Serve(ln net.Listener, store *Store) *Server {
-	return ServeObs(ln, store, nil)
-}
-
-// ServeObs is Serve with the server's accounting registered on r
-// (nil r = unobserved standalone counters).
-func ServeObs(ln net.Listener, store *Store, r *obs.Registry) *Server {
+// Serve starts accepting on ln, storing into store, with the server's
+// accounting registered on r (nil r = unobserved standalone counters).
+func Serve(ln net.Listener, store *Store, r *obs.Registry) *Server {
 	s := &Server{store: store, ln: ln, seen: map[string]uint64{}, m: newServerMetrics(r)}
 	s.wg.Add(1)
 	go s.acceptLoop()

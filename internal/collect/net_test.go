@@ -20,7 +20,7 @@ func startServer(t *testing.T) (*Server, *Store) {
 		t.Fatal(err)
 	}
 	store := NewStore()
-	return Serve(ln, store), store
+	return Serve(ln, store, nil), store
 }
 
 // rawHandshake opens a bare TCP connection, performs the v2 handshake by
@@ -200,6 +200,9 @@ func TestCollectFaultsOldMagicRejected(t *testing.T) {
 	conn.Write([]byte("NTTRACE1"))
 	binary.Write(conn, binary.LittleEndian, uint32(4))
 	conn.Write([]byte("node"))
+	// The handler closes the conn after rejecting the magic; reading to
+	// EOF proves it ran before Close shuts the listener.
+	io.Copy(io.Discard, conn)
 	conn.Close()
 	srv.Close()
 	if len(srv.Errors()) == 0 {

@@ -44,7 +44,7 @@ func TestCollectFaultsStudyByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := collect.NewStore()
-	srv := collect.Serve(ln, store)
+	srv := collect.Serve(ln, store, nil)
 	inj := collect.RandomFaults(sim.NewRNG(9), 30, 2, 2_000, 48_000)
 
 	faulted := NewStudy(Config{

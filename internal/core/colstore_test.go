@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,16 +88,16 @@ func TestColstoreStudyByteIdentical(t *testing.T) {
 			}
 
 			// The two directories hold different layouts of one corpus.
-			rowDS, _, err := Load(rowDir)
+			row, err := LoadCorpusTrace(rowDir, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			colDS, _, err := Load(colDir)
+			col, err := LoadCorpusTrace(colDir, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowReport := renderReport(t, report.Compute(rowDS))
-			colReport := renderReport(t, report.Compute(colDS))
+			rowReport := renderReport(t, report.ComputeWorkers(row.DS, runtime.GOMAXPROCS(0)))
+			colReport := renderReport(t, report.ComputeWorkers(col.DS, runtime.GOMAXPROCS(0)))
 			if rowReport != colReport {
 				t.Fatal("row and columnar corpora rendered different reports")
 			}
@@ -151,18 +152,20 @@ func TestColstoreLoadPrefersSegments(t *testing.T) {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	rowDS, _, err := Load(dir)
+	row, err := LoadCorpusTrace(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rowDS := row.DS
 	// Add segments beside the row streams; loads must now go columnar.
 	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	bothDS, _, err := Load(dir)
+	both, err := LoadCorpusTrace(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bothDS := both.DS
 	if len(bothDS.Machines) != len(rowDS.Machines) {
 		t.Fatalf("mixed-layout load found %d machines, row load %d", len(bothDS.Machines), len(rowDS.Machines))
 	}
@@ -330,7 +333,7 @@ func TestColumnarComputeByteIdentical(t *testing.T) {
 
 	load := func(dir string, columnar bool) func(int) (*analysis.DataSet, []*snapshot.Snapshot) {
 		return func(int) (*analysis.DataSet, []*snapshot.Snapshot) {
-			c, err := LoadCorpus(dir, nil)
+			c, err := LoadCorpusTrace(dir, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +352,8 @@ func TestColumnarComputeByteIdentical(t *testing.T) {
 		open func(workers int) (*analysis.DataSet, []*snapshot.Snapshot)
 	}{
 		{"in-process", func(workers int) (*analysis.DataSet, []*snapshot.Snapshot) {
-			ds, err := st.DataSetWorkers(workers)
+			st.Cfg.Workers = workers
+			ds, err := st.DataSet()
 			if err != nil {
 				t.Fatal(err)
 			}

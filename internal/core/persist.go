@@ -104,31 +104,16 @@ type Corpus struct {
 	Store *collect.Store
 }
 
-// Load reads a saved study directory back into an analysis corpus and
-// its snapshots. Machines saved as columnar segments (*.fsc) are
-// scanned into their trace tables and the rest are filled from their row
-// streams (*.trz); a directory may mix both, and a machine with both
-// forms uses the columnar one.
-func Load(dir string) (*analysis.DataSet, []*snapshot.Snapshot, error) {
-	c, err := LoadCorpus(dir, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.DS, c.Snaps, nil
-}
-
-// LoadCorpus is Load keeping the storage layers open alongside the
-// DataSet, so callers that serve both decoded analyses and raw pushdown
-// scans (the query service) load the directory exactly once. When reg is
-// non-nil every opened segment counts blocks scanned/skipped and bytes
-// decoded per column family on the colstore bundle.
-func LoadCorpus(dir string, reg *obs.Registry) (*Corpus, error) {
-	return LoadCorpusTrace(dir, reg, nil)
-}
-
-// LoadCorpusTrace is LoadCorpus with per-machine load tracing: each
-// columnar machine's scan/argsort/gather stages record as a span tree on
-// tr (nil tr loads identically and traces nothing).
+// LoadCorpusTrace reads a saved study directory back into an analysis
+// corpus, its snapshots and the storage layers behind them, so callers
+// that serve both decoded analyses and raw pushdown scans (the query
+// service) load the directory exactly once. Machines saved as columnar
+// segments (*.fsc) are scanned into their trace tables and the rest are
+// filled from their row streams (*.trz); a directory may mix both, and a
+// machine with both forms uses the columnar one. Both options are
+// nil-safe: a non-nil reg counts blocks scanned/skipped and bytes decoded
+// per column family for every opened segment, and a non-nil tr records
+// each columnar machine's scan/argsort/gather stages as a span tree.
 func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
 	if err != nil {

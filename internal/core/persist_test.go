@@ -17,10 +17,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	ds, snaps, err := Load(dir)
+	c, err := LoadCorpusTrace(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds, snaps := c.DS, c.Snaps
 	if len(ds.Machines) != 2 {
 		t.Fatalf("loaded %d machines", len(ds.Machines))
 	}
@@ -62,7 +63,7 @@ func TestSaveBeforeRunFails(t *testing.T) {
 }
 
 func TestLoadMissingDirFails(t *testing.T) {
-	if _, _, err := Load("/nonexistent-dir-xyz"); err == nil {
+	if _, err := LoadCorpusTrace("/nonexistent-dir-xyz", nil, nil); err == nil {
 		t.Error("Load of missing dir succeeded")
 	}
 }

@@ -480,18 +480,13 @@ func (s *Study) procNames(i int) map[uint32]string {
 }
 
 // DataSet decodes the collected store into the analysis corpus on
-// Cfg.Workers-wide parallelism. A machine that produced no records is
-// skipped; any other store failure (decode errors, unfinalized streams)
-// propagates.
+// Cfg.Workers-wide parallelism (0 or 1 = sequential, matching the fleet
+// engine's convention). A machine that produced no records is skipped;
+// any other store failure (decode errors, unfinalized streams)
+// propagates. Results are independent of the worker count: machines land
+// in spec order and the first error in spec order wins.
 func (s *Study) DataSet() (*analysis.DataSet, error) {
-	return s.DataSetWorkers(s.Cfg.Workers)
-}
-
-// DataSetWorkers is DataSet with an explicit decode worker count (0 or 1
-// = sequential, matching the fleet engine's convention). Results are
-// independent of the worker count: machines land in spec order and the
-// first error in spec order wins.
-func (s *Study) DataSetWorkers(workers int) (*analysis.DataSet, error) {
+	workers := s.Cfg.Workers
 	type slot struct {
 		mt  *analysis.MachineTrace
 		err error

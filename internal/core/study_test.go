@@ -242,12 +242,14 @@ func TestDataSetWorkersDeterministic(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.DataSetWorkers(1)
+	s.Cfg.Workers = 1
+	base, err := s.DataSet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 8} {
-		ds, err := s.DataSetWorkers(workers)
+		s.Cfg.Workers = workers
+		ds, err := s.DataSet()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -54,16 +54,11 @@ type Corpus struct {
 	parts    *core.Corpus
 }
 
-// OpenCorpus loads dir exactly once — columnar segments preferred, row
-// streams as fallback — and computes the corpus identity. The registry
-// (nil ok) receives colstore pushdown-ledger metrics for every scan the
-// service runs later.
-func OpenCorpus(dir string, reg *obs.Registry) (*Corpus, error) {
-	return OpenCorpusTrace(dir, reg, nil)
-}
-
-// OpenCorpusTrace is OpenCorpus with per-machine load tracing on tr
-// (nil tr loads identically and traces nothing).
+// OpenCorpusTrace loads dir exactly once — columnar segments preferred,
+// row streams as fallback — and computes the corpus identity. The
+// registry (nil ok) receives colstore pushdown-ledger metrics for every
+// scan the service runs later; tr (nil ok) records per-machine load
+// spans and never alters what loads.
 func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	parts, err := core.LoadCorpusTrace(dir, reg, tr)
 	if err != nil {

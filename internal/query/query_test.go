@@ -10,12 +10,15 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sim"
 )
 
@@ -96,7 +99,7 @@ func newTestService(t *testing.T, dir string, cfg Config) (*Service, *obs.Regist
 	} else {
 		reg = cfg.Obs
 	}
-	c, err := OpenCorpus(dir, reg)
+	c, err := OpenCorpusTrace(dir, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,8 @@ const scanPath = "/v1/scan?kinds=Read,Write,Create,Close&cols=kind,start,length,
 
 // TestQueryDeterministic is the tentpole acceptance test: the same
 // query answers with byte-identical bodies cold, cached, and at every
-// worker count.
+// worker count. The report artifact index is the report's section
+// registry, sorted.
 func TestQueryDeterministic(t *testing.T) {
 	dir, _ := corpusDirs(t)
 	paths := []string{
@@ -124,6 +128,7 @@ func TestQueryDeterministic(t *testing.T) {
 		"/v1/scan?limit=25",
 		"/v1/report?artifact=table2",
 		"/v1/report?artifact=section8",
+		"/v1/report",
 		"/v1/machines",
 	}
 	var want map[string][]byte
@@ -157,6 +162,15 @@ func TestQueryDeterministic(t *testing.T) {
 				t.Fatalf("%s: body differs between worker counts 1 and %d", p, workers)
 			}
 		}
+	}
+	var index reportBody
+	if err := json.Unmarshal(want["/v1/report"], &index); err != nil {
+		t.Fatal(err)
+	}
+	names := report.SectionNames()
+	sort.Strings(names)
+	if !slices.Equal(index.Available, names) {
+		t.Fatalf("/v1/report index %q, want the sorted section names %q", index.Available, names)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -593,41 +594,6 @@ func (s *Service) results() (*report.Results, error) {
 	return s.res, s.resErr
 }
 
-// artifacts is the /v1/report registry: name → renderer.
-func (s *Service) artifacts() map[string]func(*report.Results) string {
-	return map[string]func(*report.Results) string{
-		"table1":   (*report.Results).Table1,
-		"table2":   (*report.Results).Table2,
-		"table3":   (*report.Results).Table3,
-		"figure1":  (*report.Results).Figure1,
-		"figure2":  (*report.Results).Figure2,
-		"figure3":  (*report.Results).Figure3,
-		"figure4":  (*report.Results).Figure4,
-		"figure5":  (*report.Results).Figure5,
-		"figure6":  (*report.Results).Figure6,
-		"figure7":  (*report.Results).Figure7,
-		"figure8":  (*report.Results).Figure8,
-		"figure9":  (*report.Results).Figure9,
-		"figure10": (*report.Results).Figure10,
-		"figure11": (*report.Results).Figure11,
-		"figure12": (*report.Results).Figure12,
-		"figure13": (*report.Results).Figure13,
-		"figure14": (*report.Results).Figure14,
-		"section5": func(r *report.Results) string { return r.Section5(s.corpus.Parts().Snaps) },
-		"section6": (*report.Results).Section6Lifetimes,
-		"section7": (*report.Results).Section7SelfSim,
-		"section8": (*report.Results).Section8,
-		"section9": (*report.Results).Section9,
-		"section10": func(r *report.Results) string {
-			return r.Section10()
-		},
-		"process":    (*report.Results).ProcessView,
-		"type":       (*report.Results).TypeView,
-		"followups":  (*report.Results).FollowUps,
-		"cachesweep": func(r *report.Results) string { return r.CacheSweep([]float64{1, 4, 16, 64}) },
-	}
-}
-
 // reportBody is the /v1/report response.
 type reportBody struct {
 	Corpus    string   `json:"corpus_sha256"`
@@ -637,7 +603,6 @@ type reportBody struct {
 }
 
 func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *trace.Span) {
-	reg := s.artifacts()
 	name := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("artifact")))
 	if name == "" {
 		// The artifact index never depends on the corpus content, but
@@ -649,10 +614,7 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 			return
 		}
 		sp.Annotate("cache", "miss")
-		names := make([]string, 0, len(reg))
-		for n := range reg {
-			names = append(names, n)
-		}
+		names := report.SectionNames()
 		sort.Strings(names)
 		body, _ := json.Marshal(reportBody{Corpus: s.corpus.SHAHex(), Available: names})
 		body = append(body, '\n')
@@ -660,8 +622,7 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	render, ok := reg[name]
-	if !ok {
+	if !slices.Contains(report.SectionNames(), name) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown artifact %q", name))
 		return
 	}
@@ -684,7 +645,13 @@ func (s *Service) handleReport(ctx context.Context, w http.ResponseWriter, r *ht
 		writeError(w, http.StatusGatewayTimeout, "report exceeded the request deadline")
 		return
 	}
-	body, err := json.Marshal(reportBody{Corpus: s.corpus.SHAHex(), Artifact: name, Text: render(res)})
+	var text string
+	for _, sec := range res.Sections(s.corpus.Parts().Snaps) {
+		if sec.Name == name {
+			text = sec.Render()
+		}
+	}
+	body, err := json.Marshal(reportBody{Corpus: s.corpus.SHAHex(), Artifact: name, Text: text})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

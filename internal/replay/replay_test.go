@@ -9,7 +9,7 @@ import (
 )
 
 // studyCorpus runs a small in-process study and returns its corpus — the
-// same path fstrace uses, so the tests exercise real collected traces.
+// same path fsfleet uses, so the tests exercise real collected traces.
 func studyCorpus(t *testing.T, machines int, dur sim.Duration, blocked bool) *analysis.DataSet {
 	t.Helper()
 	s := core.NewStudy(core.Config{

@@ -7,7 +7,6 @@ package report
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
@@ -41,6 +41,44 @@ type Results struct {
 	ReadShares, WriteShares []float64
 }
 
+// Section is one named artifact of the rendered report.
+type Section struct {
+	Name   string
+	Render func() string
+}
+
+// Sections lists every artifact of the full report in publication order,
+// under the names fsreport and the query service's /v1/report accept;
+// snaps feeds §5. The full report is each Render's text followed by a
+// newline, in this order.
+func (r *Results) Sections(snaps []*snapshot.Snapshot) []Section {
+	return []Section{
+		{"table1", r.Table1}, {"table2", r.Table2}, {"table3", r.Table3},
+		{"figure1", r.Figure1}, {"figure2", r.Figure2}, {"figure3", r.Figure3},
+		{"figure4", r.Figure4}, {"figure5", r.Figure5}, {"figure6", r.Figure6},
+		{"figure7", r.Figure7}, {"figure8", r.Figure8}, {"figure9", r.Figure9},
+		{"figure10", r.Figure10}, {"figure11", r.Figure11}, {"figure12", r.Figure12},
+		{"figure13", r.Figure13}, {"figure14", r.Figure14},
+		{"section5", func() string { return r.Section5(snaps) }},
+		{"section6", r.Section6Lifetimes}, {"section8", r.Section8},
+		{"section9", r.Section9}, {"section10", r.Section10},
+		{"section7", r.Section7SelfSim}, {"process", r.ProcessView},
+		{"type", r.TypeView}, {"followups", r.FollowUps},
+		{"cachesweep", func() string { return r.CacheSweep([]float64{1, 4, 16}) }},
+	}
+}
+
+// SectionNames is the names of Sections in publication order. It renders
+// nothing, so it needs no computed Results.
+func SectionNames() []string {
+	secs := (*Results)(nil).Sections(nil) // method values only; none is called
+	names := make([]string, len(secs))
+	for i, sec := range secs {
+		names[i] = sec.Name
+	}
+	return names
+}
+
 // machineMeasures is everything Compute derives from a single machine —
 // the unit of the worker fan-out.
 type machineMeasures struct {
@@ -52,15 +90,10 @@ type machineMeasures struct {
 	rs, ws float64
 }
 
-// Compute builds Results from a data set, fanning machines across
-// GOMAXPROCS workers. Output is identical to ComputeWorkers(ds, 1): the
-// merge runs serially in corpus order over slot-indexed results.
-func Compute(ds *analysis.DataSet) *Results {
-	return ComputeWorkers(ds, runtime.GOMAXPROCS(0))
-}
-
-// ComputeWorkers is Compute with an explicit worker count (0 or 1 =
-// sequential).
+// ComputeWorkers builds Results from a data set, fanning machines across
+// workers goroutines (0 or 1 = sequential). Output is identical at any
+// worker count: the merge runs serially in corpus order over
+// slot-indexed results.
 func ComputeWorkers(ds *analysis.DataSet, workers int) *Results {
 	return ComputeWorkersTrace(ds, workers, nil, nil, nil)
 }
