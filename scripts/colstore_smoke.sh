@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
 # colstore_smoke.sh — end-to-end check of the columnar corpus pipeline.
 #
-# Traces a small fleet with -format both (row *.trz beside columnar
-# *.fsc), proves row/columnar SHA-256 equivalence with `fscorpus verify`,
-# inspects layout stats, runs a pushdown scan, converts the columnar
-# corpus back to row streams and asserts the round-trip reproduces the
-# original row bytes exactly.
+# Traces a small fleet in the row layout (*.trz), adds columnar
+# segments (*.fsc) beside it with `fscorpus convert`, proves
+# row/columnar SHA-256 equivalence with `fscorpus verify`, inspects
+# layout stats, runs a pushdown scan, converts the columnar corpus back
+# to row streams and asserts the round-trip reproduces the original row
+# bytes exactly. Then fsreport must print the same full report from a
+# row-only and a columnar-only copy of the corpus, and reject an
+# unknown section name.
 #
 # Usage: scripts/colstore_smoke.sh
 set -eu
@@ -15,11 +18,14 @@ cd "$(dirname "$0")/.."
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-go build -o "$WORK/fstrace" ./cmd/fstrace
+go build -o "$WORK/fsfleet" ./cmd/fsfleet
 go build -o "$WORK/fscorpus" ./cmd/fscorpus
+go build -o "$WORK/fsreport" ./cmd/fsreport
 
-"$WORK/fstrace" -machines 4 -hours 1 -seed 9 -workers 2 \
-  -format both -out "$WORK/traces"
+"$WORK/fsfleet" -machines 4 -hours 1 -seed 9 -workers 2 -progress 0 \
+  -format row -out "$WORK/row"
+cp -r "$WORK/row" "$WORK/traces"
+"$WORK/fscorpus" convert -to columnar "$WORK/traces"
 
 ls "$WORK/traces"/*.trz >/dev/null
 ls "$WORK/traces"/*.fsc >/dev/null
@@ -44,5 +50,20 @@ grep -q 'pushdown:' "$WORK/scan.out"
 for f in "$WORK/traces"/*.trz; do
   cmp "$f" "$WORK/rows/$(basename "$f")"
 done
+
+# Layout independence of the report: the row-only corpus and a
+# columnar-only copy print byte-identical reports.
+cp -r "$WORK/traces" "$WORK/col"
+rm "$WORK/col"/*.trz
+"$WORK/fsreport" -in "$WORK/row" >"$WORK/row.report"
+"$WORK/fsreport" -in "$WORK/col" >"$WORK/col.report"
+cmp "$WORK/row.report" "$WORK/col.report"
+
+# An unknown section name fails and lists the valid names.
+if "$WORK/fsreport" -in "$WORK/row" nosuch 2>"$WORK/nosuch.err"; then
+  echo "FAIL: fsreport accepted an unknown section" >&2
+  exit 1
+fi
+grep -q 'cachesweep' "$WORK/nosuch.err"
 
 echo "colstore smoke OK" >&2
