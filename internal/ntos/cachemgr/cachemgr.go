@@ -19,7 +19,9 @@
 package cachemgr
 
 import (
+	"container/heap"
 	"container/list"
+	"math/bits"
 
 	"repro/internal/ntos/fsys"
 	"repro/internal/ntos/irp"
@@ -82,7 +84,17 @@ type Manager struct {
 	// iteration order would make studies irreproducible) and in time
 	// proportional to the dirty set, not to every file ever cached.
 	dirtyQ []*SharedCacheMap
-	lru    *list.List // of *page; front = most recent
+
+	// Recency. Every add or touch stamps the page from clock, and
+	// eviction takes the clean page with the oldest stamp. Dirty pages sit
+	// in neither structure, so no operation walks them.
+	//   - clean holds pages last added or touched while clean; touches
+	//     push to the front, so it stays sorted by stamp.
+	//   - written holds pages writeDirty cleaned that no access has
+	//     touched since; their stamps are old, so they go in a heap.
+	clock   uint64
+	clean   *list.List // of *page; front = most recent
+	written pageHeap
 
 	lazyRunning bool
 
@@ -99,6 +111,9 @@ type SharedCacheMap struct {
 	Node  *fsys.Node
 	pages map[int64]*page
 	dirty int
+	// dirtyBits has bit i set when page i is dirty, so the lazy writer
+	// finds dirty runs in page order without visiting clean pages.
+	dirtyBits []uint64
 
 	// ReadAhead granularity for this file (per-file, FS-controlled §9.1).
 	ReadAhead int
@@ -130,14 +145,42 @@ type SharedCacheMap struct {
 
 type page struct {
 	cm    *SharedCacheMap
-	idx   int64 // page index within the file
-	dirty bool
+	idx   int64  // page index within the file
+	stamp uint64 // Manager.clock at the last add or touch
+	// elem is the page's element in Manager.clean (nil when not there);
+	// heapIdx is its position in Manager.written (-1 when not there).
+	elem    *list.Element
+	heapIdx int
+	dirty   bool
 	// ra marks a page brought in by read-ahead and not yet touched by a
 	// foreground read; the first touch clears it (and counts as
 	// "read-ahead used"). Maintained whether or not obs is enabled so
 	// instrumentation can never change behaviour.
-	ra   bool
-	elem *list.Element
+	ra bool
+}
+
+// pageHeap is a container/heap of pages ordered by stamp, oldest first.
+type pageHeap []*page
+
+func (h pageHeap) Len() int           { return len(h) }
+func (h pageHeap) Less(i, j int) bool { return h[i].stamp < h[j].stamp }
+func (h pageHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = i
+	h[j].heapIdx = j
+}
+func (h *pageHeap) Push(x any) {
+	p := x.(*page)
+	p.heapIdx = len(*h)
+	*h = append(*h, p)
+}
+func (h *pageHeap) Pop() any {
+	old := *h
+	p := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	p.heapIdx = -1
+	return p
 }
 
 // Config parameterises a Manager.
@@ -158,7 +201,7 @@ func New(sched *sim.Scheduler, cfg Config) *Manager {
 		sched:         sched,
 		capacityPages: int(capacity / PageSize),
 		maps:          map[*fsys.Node]*SharedCacheMap{},
-		lru:           list.New(),
+		clean:         list.New(),
 	}
 }
 
@@ -214,9 +257,19 @@ func (m *Manager) InitializeCacheMap(fo *types.FileObject, node *fsys.Node) *Sha
 	return cm
 }
 
-// touch moves a page to the LRU front.
+// touch makes p the most recently used page. A dirty page only takes
+// the new stamp; a clean one moves to the front of the clean list.
 func (m *Manager) touch(p *page) {
-	m.lru.MoveToFront(p.elem)
+	m.clock++
+	p.stamp = m.clock
+	switch {
+	case p.dirty:
+	case p.heapIdx >= 0:
+		heap.Remove(&m.written, p.heapIdx)
+		p.elem = m.clean.PushFront(p)
+	default:
+		m.clean.MoveToFront(p.elem)
+	}
 }
 
 // addPage makes a page resident, evicting clean LRU pages if over
@@ -226,8 +279,9 @@ func (m *Manager) addPage(cm *SharedCacheMap, idx int64) *page {
 		m.touch(p)
 		return p
 	}
-	p := &page{cm: cm, idx: idx}
-	p.elem = m.lru.PushFront(p)
+	m.clock++
+	p := &page{cm: cm, idx: idx, stamp: m.clock, heapIdx: -1}
+	p.elem = m.clean.PushFront(p)
 	cm.pages[idx] = p
 	m.resident++
 	for m.resident > m.capacityPages {
@@ -241,26 +295,73 @@ func (m *Manager) addPage(cm *SharedCacheMap, idx int64) *page {
 	return p
 }
 
+// evictOne drops the least recently used clean page other than exclude,
+// the page addPage just pushed to the front of the clean list. That page
+// is the older of the clean list's back and the written heap's root.
 func (m *Manager) evictOne(exclude *page) bool {
-	for e := m.lru.Back(); e != nil; e = e.Prev() {
-		p := e.Value.(*page)
-		if p.dirty || p == exclude {
-			continue
-		}
-		m.dropPage(p)
-		m.Stats.EvictedPages++
-		return true
+	var victim *page
+	if e := m.clean.Back(); e != nil && e.Value.(*page) != exclude {
+		victim = e.Value.(*page)
 	}
-	return false
+	if len(m.written) > 0 && (victim == nil || m.written[0].stamp < victim.stamp) {
+		victim = m.written[0]
+	}
+	if victim == nil {
+		return false
+	}
+	m.unlink(victim)
+	delete(victim.cm.pages, victim.idx)
+	m.resident--
+	m.Stats.EvictedPages++
+	return true
 }
 
-func (m *Manager) dropPage(p *page) {
-	m.lru.Remove(p.elem)
-	delete(p.cm.pages, p.idx)
-	if p.dirty {
-		p.cm.dirty--
+// unlink takes p out of whichever recency structure holds it.
+func (m *Manager) unlink(p *page) {
+	if p.elem != nil {
+		m.clean.Remove(p.elem)
+		p.elem = nil
+	} else if p.heapIdx >= 0 {
+		heap.Remove(&m.written, p.heapIdx)
 	}
-	m.resident--
+}
+
+// setDirty changes p's dirty state and keeps p.cm's dirty count, its
+// dirty bitmap and the recency structures in step: a dirtied page leaves
+// the clean list, a cleaned one joins the written heap with its stamp.
+func (m *Manager) setDirty(p *page, dirty bool) {
+	if p.dirty == dirty {
+		return
+	}
+	p.dirty = dirty
+	cm := p.cm
+	w, bit := p.idx/64, uint64(1)<<(p.idx%64)
+	if dirty {
+		cm.dirty++
+		if n := w + 1 - int64(len(cm.dirtyBits)); n > 0 {
+			cm.dirtyBits = append(cm.dirtyBits, make([]uint64, n)...)
+		}
+		cm.dirtyBits[w] |= bit
+		m.unlink(p)
+		return
+	}
+	cm.dirty--
+	cm.dirtyBits[w] &^= bit
+	heap.Push(&m.written, p)
+}
+
+// appendDirty appends the lowest n dirty page indexes of cm to dst in
+// ascending order.
+func (cm *SharedCacheMap) appendDirty(dst []int64, n int) []int64 {
+	for w, word := range cm.dirtyBits {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int64(w*64+bits.TrailingZeros64(word)))
+			if len(dst) == n {
+				return dst
+			}
+		}
+	}
+	return dst
 }
 
 // pageRange returns the first and last page indexes covering
@@ -442,11 +543,7 @@ func (m *Manager) CopyWrite(fo *types.FileObject, cm *SharedCacheMap, offset int
 	fo.Flags |= types.FODirtied
 	first, last := pageRange(offset, length)
 	for i := first; i <= last; i++ {
-		p := m.addPage(cm, i)
-		if !p.dirty {
-			p.dirty = true
-			cm.dirty++
-		}
+		m.setDirty(m.addPage(cm, i), true)
 	}
 	m.queueDirty(cm)
 }
@@ -482,26 +579,17 @@ func (m *Manager) FlushFile(node *fsys.Node, procID uint32) int {
 	return m.writeDirty(cm, cm.dirty, procID, false)
 }
 
-// writeDirty writes up to maxPages dirty pages of cm in page-run requests
-// capped at 64 KB each, returning pages written.
+// writeDirty writes the lowest maxPages dirty pages of cm in page-run
+// requests capped at 64 KB each, returning pages written.
 func (m *Manager) writeDirty(cm *SharedCacheMap, maxPages int, procID uint32, lazy bool) int {
 	if maxPages <= 0 {
 		return 0
 	}
 	const maxRunPages = BoostedReadAhead / PageSize // 16 pages = 64 KB
-	// Collect dirty page indexes in ascending order.
-	idxs := make([]int64, 0, cm.dirty)
-	for i, p := range cm.pages {
-		if p.dirty {
-			idxs = append(idxs, i)
-		}
-	}
-	sortInt64s(idxs)
-	written := 0
-	for start := 0; start < len(idxs) && written < maxPages; {
+	idxs := cm.appendDirty(make([]int64, 0, min(maxPages, cm.dirty)), maxPages)
+	for start := 0; start < len(idxs); {
 		end := start
-		for end+1 < len(idxs) && idxs[end+1] == idxs[end]+1 &&
-			end-start+1 < maxRunPages && written+(end-start+1) < maxPages {
+		for end+1 < len(idxs) && idxs[end+1] == idxs[end]+1 && end-start+1 < maxRunPages {
 			end++
 		}
 		first, last := idxs[start], idxs[end]
@@ -518,18 +606,13 @@ func (m *Manager) writeDirty(cm *SharedCacheMap, maxPages int, procID uint32, la
 		if lazy {
 			m.Stats.LazyWriteOps++
 		}
-		for i := first; i <= last; i++ {
-			p := cm.pages[i]
-			if p != nil && p.dirty {
-				p.dirty = false
-				cm.dirty--
-				written++
-			}
+		for _, i := range idxs[start : end+1] {
+			m.setDirty(cm.pages[i], false)
 		}
 		m.Stats.LazyWritePages += uint64(last - first + 1)
 		start = end + 1
 	}
-	return written
+	return len(idxs)
 }
 
 // lazyWriteScan is the per-second pass: for each cache map with dirty
@@ -661,14 +744,15 @@ func (m *Manager) Purge(node *fsys.Node) int {
 	m.Stats.PurgeOps++
 	dirty := cm.dirty
 	for _, p := range cm.pages {
-		m.lru.Remove(p.elem)
-		m.resident--
+		m.unlink(p)
 	}
+	m.resident -= len(cm.pages)
 	if dirty > 0 {
 		m.Stats.PurgedDirty++
 	}
 	cm.pages = map[int64]*page{}
 	cm.dirty = 0
+	clear(cm.dirtyBits)
 	cm.readAheadHigh = 0
 	return dirty
 }
@@ -682,15 +766,4 @@ func (m *Manager) DropMap(node *fsys.Node) {
 	m.Purge(node)
 	delete(m.maps, node)
 	// A queued entry is dequeued lazily at the next scan (dirty is now 0).
-}
-
-// sortInt64s shellsorts the (small) dirty-page index sets.
-func sortInt64s(xs []int64) {
-	for gap := len(xs) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(xs); i++ {
-			for j := i; j >= gap && xs[j-gap] > xs[j]; j -= gap {
-				xs[j-gap], xs[j] = xs[j], xs[j-gap]
-			}
-		}
-	}
 }

@@ -71,9 +71,12 @@ type Snapshot struct {
 }
 
 // Take walks fs producing a snapshot. The walk is deterministic
-// (children in sorted order).
+// (children in sorted order). Records is sized exactly: every node is
+// reachable from the root, because fsys.Remove only unlinks empty
+// directories.
 func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
-	snap := &Snapshot{Machine: machine, Volume: vol, TakenAt: now}
+	snap := &Snapshot{Machine: machine, Volume: vol, TakenAt: now,
+		Records: make([]WalkRecord, 0, fs.FileCount+fs.DirCount)}
 	var rec func(n *fsys.Node, depth int)
 	rec = func(n *fsys.Node, depth int) {
 		w := WalkRecord{
@@ -85,20 +88,21 @@ func Take(machine, vol string, fs *fsys.FS, now sim.Time) *Snapshot {
 			LastModified: n.LastModified,
 			LastAccessed: n.LastAccessed,
 		}
-		if n.IsDir() {
-			for _, name := range n.ChildNames() {
-				if n.Child(name).IsDir() {
-					w.NumSubdirs++
-				} else {
-					w.NumFiles++
-				}
+		if !n.IsDir() {
+			snap.Records = append(snap.Records, w)
+			return
+		}
+		names := n.ChildNames()
+		for _, name := range names {
+			if n.Child(name).IsDir() {
+				w.NumSubdirs++
+			} else {
+				w.NumFiles++
 			}
 		}
 		snap.Records = append(snap.Records, w)
-		if n.IsDir() {
-			for _, name := range n.ChildNames() {
-				rec(n.Child(name), depth+1)
-			}
+		for _, name := range names {
+			rec(n.Child(name), depth+1)
 		}
 	}
 	rec(fs.Root, 0)

@@ -168,3 +168,68 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// TestTakeSizesRecordsExactly: after creates, renames and removes (of
+// files and of empty directories), Take allocates exactly one record per
+// live node and still emits the pre-order, ChildNames-ordered walk with
+// each directory's fan-out.
+func TestTakeSizesRecordsExactly(t *testing.T) {
+	fs := buildFS(t)
+	fs.MkdirAll(`\tmp\a\b`, 50)
+	fs.MkdirAll(`\tmp\c`, 50)
+	fs.CreateFile(`\tmp\c\f.txt`, 7, types.AttrNormal, 60)
+	fs.CreateFile(`\tmp\g.log`, 9, types.AttrNormal, 60)
+	b, _ := fs.Lookup(`\tmp\a\b`)
+	if st := fs.Remove(b); st.IsError() {
+		t.Fatalf("remove empty dir: %v", st)
+	}
+	c, _ := fs.Lookup(`\tmp\c`)
+	if st := fs.Remove(c); !st.IsError() {
+		t.Fatal("removed a non-empty directory")
+	}
+	a, _ := fs.Lookup(`\docs\a.txt`)
+	fs.Remove(a)
+	if st := fs.Rename(c, `\docs\C2`); st.IsError() {
+		t.Fatalf("rename dir: %v", st)
+	}
+	g, _ := fs.Lookup(`\tmp\g.log`)
+	if st := fs.Rename(g, `\winnt\G.log`); st.IsError() {
+		t.Fatalf("rename file: %v", st)
+	}
+
+	snap := Take("m1", `C:`, fs, 100)
+	if n := fs.FileCount + fs.DirCount; len(snap.Records) != n || cap(snap.Records) != n {
+		t.Errorf("records len %d cap %d, want both %d", len(snap.Records), cap(snap.Records), n)
+	}
+
+	var want []WalkRecord
+	var walk func(n *fsys.Node, depth int)
+	walk = func(n *fsys.Node, depth int) {
+		w := WalkRecord{Name: shortName(n.Name), Depth: depth, IsDir: n.IsDir(), Size: n.Size,
+			Created: n.Created, LastModified: n.LastModified, LastAccessed: n.LastAccessed}
+		if n.IsDir() {
+			for _, name := range n.ChildNames() {
+				if n.Child(name).IsDir() {
+					w.NumSubdirs++
+				} else {
+					w.NumFiles++
+				}
+			}
+		}
+		want = append(want, w)
+		if n.IsDir() {
+			for _, name := range n.ChildNames() {
+				walk(n.Child(name), depth+1)
+			}
+		}
+	}
+	walk(fs.Root, 0)
+	if len(want) != len(snap.Records) {
+		t.Fatalf("walk has %d records, snapshot %d", len(want), len(snap.Records))
+	}
+	for i := range want {
+		if snap.Records[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, snap.Records[i], want[i])
+		}
+	}
+}

@@ -2,8 +2,9 @@
 // above a file system driver, records all 54 IRP and FastIO event kinds
 // into fixed-size records with dual 100 ns timestamps, writes a
 // name-mapping record for each new file object, and stores records through
-// a triple-buffering scheme (three 3,000-record buffers) that hands full
-// buffers to the trace agent for shipping to the collection servers.
+// the paper's triple-buffering scheme (three 3,000-record buffers) that
+// hands full buffers to the trace agent for shipping to the collection
+// servers.
 package tracedrv
 
 import (
@@ -17,7 +18,8 @@ import (
 // able to hold up to 3,000 records").
 const BufferRecords = 3000
 
-// NumBuffers is the triple-buffering depth.
+// NumBuffers is the triple-buffering depth: one buffer fills while up to
+// NumBuffers-1 full ones are in flight to the collection server.
 const NumBuffers = 3
 
 // FlushFunc receives a full (or force-flushed) buffer of records. The
@@ -48,10 +50,10 @@ type Driver struct {
 
 	flush FlushFunc
 
-	// Triple buffering: buffers[active] accumulates; full buffers move to
-	// inFlight until the (simulated) ship-to-server completes.
-	buffers  [NumBuffers][]tracefmt.Record
-	active   int
+	// Triple buffering: buf accumulates; a full buffer ships as a copy
+	// and counts in inFlight until the (simulated) ship-to-server
+	// completes, so one fill buffer stands for all NumBuffers.
+	buf      []tracefmt.Record
 	inFlight int
 	fillFrom sim.Time
 
@@ -84,9 +86,7 @@ func New(name string, next irp.Driver, sched *sim.Scheduler, flush FlushFunc) *D
 		nextPagingID: tracefmt.PagingObjectIDBase, // paging FOs get ids far above app FOs
 		seen:         map[types.FileObjectID]bool{},
 		Overhead:     sim.FromMicroseconds(0.5),
-	}
-	for i := range d.buffers {
-		d.buffers[i] = make([]tracefmt.Record, 0, BufferRecords)
+		buf:          make([]tracefmt.Record, 0, BufferRecords),
 	}
 	d.fillFrom = sched.Now()
 	return d
@@ -299,23 +299,22 @@ func (d *Driver) Mark(kind tracefmt.EventKind) {
 	d.store(tracefmt.Record{Kind: kind, Start: now, End: now})
 }
 
-// store appends to the active buffer, rotating on fill.
+// store appends to the fill buffer, rotating on fill.
 func (d *Driver) store(rec tracefmt.Record) {
 	d.Stats.Records++
 	d.Metrics.record()
-	buf := &d.buffers[d.active]
-	*buf = append(*buf, rec)
-	if len(*buf) >= BufferRecords {
+	d.buf = append(d.buf, rec)
+	if len(d.buf) >= BufferRecords {
 		d.rotate(false)
 	}
 }
 
-// rotate ships the active buffer and moves to the next one. If every
-// other buffer is still in flight the driver must drop records — the
+// rotate ships the fill buffer and starts it afresh. If every other
+// buffer is still in flight the driver must drop records — the
 // overflow condition the agent watches for (it never fired in the paper's
 // runs, nor should it here).
 func (d *Driver) rotate(force bool) {
-	buf := d.buffers[d.active]
+	buf := d.buf
 	if len(buf) == 0 {
 		return
 	}
@@ -332,7 +331,7 @@ func (d *Driver) rotate(force bool) {
 		// All other buffers busy: drop.
 		d.Stats.Overflows += uint64(len(buf))
 		d.Metrics.overflow(len(buf))
-		d.buffers[d.active] = buf[:0]
+		d.buf = buf[:0]
 		d.fillFrom = d.sched.Now()
 		return
 	}
@@ -341,8 +340,7 @@ func (d *Driver) rotate(force bool) {
 	d.Metrics.flush(fill, force)
 	shipped := make([]tracefmt.Record, len(buf))
 	copy(shipped, buf)
-	d.buffers[d.active] = buf[:0]
-	d.active = (d.active + 1) % NumBuffers
+	d.buf = buf[:0]
 	d.fillFrom = d.sched.Now()
 	deliver := func(*sim.Scheduler) {
 		d.inFlight--

@@ -171,17 +171,39 @@ func TestBufferRotationAtCapacity(t *testing.T) {
 	}
 }
 
+// TestOverflowWhenShippingStalls pins the overflow rule: with shipping
+// stalled, the first NumBuffers-1 full buffers go in flight and every
+// later one is dropped whole, however the driver lays out its buffers.
 func TestOverflowWhenShippingStalls(t *testing.T) {
-	d, _, _, sched := newTraced(t)
-	d.ShipLatency = sim.Hour // deliveries never complete in test horizon
+	d, _, out, sched := newTraced(t)
+	d.ShipLatency = sim.Hour // no delivery completes until the scheduler runs
 	f := fo(4, `C:\flood`)
-	for i := 0; i < NumBuffers*BufferRecords+BufferRecords; i++ {
+	const fills = NumBuffers + 1
+	// One name-map record plus one record per read: fills full buffers
+	// and a single record left in the fill buffer.
+	for i := 0; i < fills*BufferRecords; i++ {
 		d.Dispatch(&irp.Request{Major: types.IrpMjRead, FileObject: f, Length: 1})
 	}
-	if d.Stats.Overflows == 0 {
-		t.Error("no overflow despite stalled shipping")
+	const shipped = NumBuffers - 1
+	if d.Stats.Records != fills*BufferRecords+1 {
+		t.Errorf("records = %d, want %d", d.Stats.Records, fills*BufferRecords+1)
 	}
-	_ = sched
+	if d.Stats.BufferFlushes != shipped {
+		t.Errorf("buffers shipped = %d, want %d", d.Stats.BufferFlushes, shipped)
+	}
+	if want := uint64((fills - shipped) * BufferRecords); d.Stats.Overflows != want {
+		t.Errorf("overflowed records = %d, want %d", d.Stats.Overflows, want)
+	}
+	sched.Run()
+	if len(*out) != shipped*BufferRecords {
+		t.Errorf("delivered records = %d, want %d", len(*out), shipped*BufferRecords)
+	}
+	// With the in-flight buffers delivered, the remainder ships.
+	d.Flush()
+	sched.Run()
+	if len(*out) != shipped*BufferRecords+1 || d.Stats.Overflows != uint64((fills-shipped)*BufferRecords) {
+		t.Errorf("after flush: delivered %d, overflowed %d", len(*out), d.Stats.Overflows)
+	}
 }
 
 func TestRemoteAnnotation(t *testing.T) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# bench.sh — run the analysis-engine benchmarks and emit the tracked
-# perf baseline:
+# bench.sh — run the analysis-engine, fleet and cache-manager benchmarks
+# and emit the tracked perf baseline:
 #
 #   BENCH_analysis.txt   raw `go test -bench` output (benchstat-ready:
 #                        feed two of these to benchstat old.txt new.txt)
@@ -27,6 +27,17 @@ go test -run NONE \
 # as phantom allocations), so they get a fixed high iteration count.
 go test -run NONE -bench 'BenchmarkObsHotPath|BenchmarkSpanHotPath' \
   -benchtime 1000000x -count "$COUNT" . | tee -a "$TXT"
+
+# The fleet at two cores: workers=1 is the single-shard simulator cost
+# (the cache manager's gate), workers=2 the parallel speedup over it.
+go test -run NONE -bench 'BenchmarkFleet/workers=(1|2)$' -cpu 2 \
+  -benchtime "$BENCHTIME" -count "$COUNT" . | tee -a "$TXT"
+
+# Cache-manager micro-benchmarks: a 56 MB dirty burst through a 16 MB
+# cache, and the lazy writer draining it. Each op takes milliseconds, so
+# they get a fixed iteration count large enough to average over.
+go test -run NONE -bench 'BenchmarkCacheDirtyTail|BenchmarkLazyWriteScan' \
+  -benchtime 20x -count "$COUNT" ./internal/ntos/cachemgr | tee -a "$TXT"
 
 # Benchmark lines look like:
 #   BenchmarkComputeResults/workers=4-8  3  408389528 ns/op  186966 instances
