@@ -1,11 +1,13 @@
 // Command fssnap works with file-system snapshots: it summarises a saved
 // snapshot file and diffs two snapshots the way §5 analyses day-over-day
-// content change (profile-tree and WWW-cache shares).
+// content change (profile-tree and WWW-cache shares). Snapshot files are
+// the <machine>-NNN.snap files a saved corpus holds, in the binary
+// snapshot codec (see snapshot.Encode).
 //
 // Usage:
 //
-//	fssnap info  traces/personal-01-000.snap.json
-//	fssnap diff  day0.snap.json day1.snap.json
+//	fssnap info  traces/personal-01-000.snap
+//	fssnap diff  day0.snap day1.snap
 package main
 
 import (
@@ -19,12 +21,11 @@ import (
 )
 
 func load(path string) *snapshot.Snapshot {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	s, err := snapshot.Read(f)
+	s, err := snapshot.Decode(data)
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}

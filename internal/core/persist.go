@@ -29,11 +29,14 @@ type manifestEntry struct {
 	ProcNames map[uint32]string `json:"proc_names,omitempty"`
 }
 
-// Save writes the collected corpus, snapshots (*.snap.json) and the
-// machine manifest into dir. The corpus layout follows Cfg.Columnar: row
-// streams (*.trz) by default, colstore segments (*.fsc) when set —
-// restored machines reuse the segment carried by their checkpoint
-// instead of re-encoding. The study must have Run.
+// Save writes the collected corpus, snapshots and the machine manifest
+// into dir. Each snapshot is one <machine>-NNN.snap file in the binary
+// snapshot codec (snapshot.Encode: magic, header, one flag-prefixed
+// varint record per walk entry, SHA-256 trailer). The corpus layout
+// follows Cfg.Columnar: row streams (*.trz) by default, colstore
+// segments (*.fsc) when set — restored machines reuse the segment
+// carried by their checkpoint instead of re-encoding. The study must
+// have Run.
 func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
@@ -70,16 +73,8 @@ func (s *Study) Save(dir string) error {
 		return err
 	}
 	for i, snap := range s.Snapshots {
-		name := fmt.Sprintf("%s-%03d.snap.json", safe(snap.Machine), i)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := snap.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		name := fmt.Sprintf("%s-%03d%s", safe(snap.Machine), i, snapExt)
+		if err := os.WriteFile(filepath.Join(dir, name), snapshot.Encode(snap), 0o644); err != nil {
 			return err
 		}
 	}
@@ -87,6 +82,13 @@ func (s *Study) Save(dir string) error {
 }
 
 func safe(s string) string { return collect.SafeName(s) }
+
+// snapExt names a saved snapshot; legacySnapExt the JSON form that
+// earlier corpora used, which LoadCorpusTrace refuses rather than skips.
+const (
+	snapExt       = ".snap"
+	legacySnapExt = ".snap.json"
+)
 
 // Corpus is a loaded study directory with every layer kept accessible:
 // the analysis DataSet (what the report pipeline consumes), the raw
@@ -110,7 +112,9 @@ type Corpus struct {
 // service) load the directory exactly once. Machines saved as columnar
 // segments (*.fsc) are scanned into their trace tables and the rest are
 // filled from their row streams (*.trz); a directory may mix both, and a
-// machine with both forms uses the columnar one. Both options are
+// machine with both forms uses the columnar one. Snapshots come from the
+// *.snap files; a *.snap.json file (an older corpus layout) fails the
+// load instead of leaving §5 without snapshots. Both options are
 // nil-safe: a non-nil reg counts blocks scanned/skipped and bytes decoded
 // per column family for every opened segment, and a non-nil tr records
 // each columnar machine's scan/argsort/gather stages as a span tree.
@@ -184,15 +188,19 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		return nil, err
 	}
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".snap.json") {
+		if strings.HasSuffix(e.Name(), legacySnapExt) {
+			return nil, fmt.Errorf("core: %s: JSON snapshot from an older corpus layout; re-collect the corpus", e.Name())
+		}
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), snapExt) {
 			continue
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
-		snap, err := snapshot.Read(f)
-		f.Close()
+		snap, err := snapshot.Decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", e.Name(), err)
 		}

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ntos/machine"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -42,8 +48,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if totalOrig != totalLoaded {
 		t.Errorf("records: saved %d, loaded %d", totalOrig, totalLoaded)
 	}
-	if len(snaps) != len(s.Snapshots) {
-		t.Errorf("snapshots: saved %d, loaded %d", len(s.Snapshots), len(snaps))
+	// Loading orders snapshots by file name, not by machine order.
+	byKey := func(in []*snapshot.Snapshot) []*snapshot.Snapshot {
+		out := append([]*snapshot.Snapshot(nil), in...)
+		sort.SliceStable(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.Machine != b.Machine {
+				return a.Machine < b.Machine
+			}
+			return a.TakenAt < b.TakenAt
+		})
+		return out
+	}
+	if !reflect.DeepEqual(byKey(snaps), byKey(s.Snapshots)) {
+		t.Errorf("snapshots differ after save/load (saved %d, loaded %d)", len(s.Snapshots), len(snaps))
 	}
 	// Category survives for at least one machine.
 	foundCat := false
@@ -65,5 +83,61 @@ func TestSaveBeforeRunFails(t *testing.T) {
 func TestLoadMissingDirFails(t *testing.T) {
 	if _, err := LoadCorpusTrace("/nonexistent-dir-xyz", nil, nil); err == nil {
 		t.Error("Load of missing dir succeeded")
+	}
+}
+
+// savedSnapshotStudy saves a one-machine study with a day-0 snapshot and
+// returns the directory and the name of its first snapshot file.
+func savedSnapshotStudy(t *testing.T) (dir, snapFile string) {
+	t.Helper()
+	dir = t.TempDir()
+	s := NewStudy(Config{Seed: 3, Machines: 1, Duration: 10 * sim.Minute, SnapshotAtStart: true})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if len(snaps) == 0 {
+		t.Fatal("Save wrote no *.snap file")
+	}
+	return dir, filepath.Base(snaps[0])
+}
+
+// TestLoadRejectsLegacySnapshots: a corpus holding a JSON snapshot from
+// the older layout fails the load and names the file, rather than
+// loading with no snapshots.
+func TestLoadRejectsLegacySnapshots(t *testing.T) {
+	dir, _ := savedSnapshotStudy(t)
+	legacy := "walk-up-01-000.snap.json"
+	if err := os.WriteFile(filepath.Join(dir, legacy), []byte(`{"machine":"walk-up-01"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCorpusTrace(dir, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("load of a corpus with %s: err = %v, want an error naming it", legacy, err)
+	}
+}
+
+// TestLoadRejectsCorruptSnapshot: one flipped byte in a *.snap file fails
+// the load, and the error names the file.
+func TestLoadRejectsCorruptSnapshot(t *testing.T) {
+	dir, name := savedSnapshotStudy(t)
+	if _, err := LoadCorpusTrace(dir, nil, nil); err != nil {
+		t.Fatalf("intact corpus: %v", err)
+	}
+	path := filepath.Join(dir, name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x04
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCorpusTrace(dir, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("load with a flipped byte in %s: err = %v, want an error naming it", name, err)
 	}
 }

@@ -8,9 +8,6 @@
 package snapshot
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -22,22 +19,22 @@ import (
 // reconstruction from the pre-order sequence, per §3.1.
 type WalkRecord struct {
 	// Name is the short-form entry name (base name, truncated).
-	Name string `json:"n"`
+	Name string
 	// Depth in the tree; the root is 0. Pre-order traversal plus depth
 	// recovers the tree.
-	Depth int   `json:"d"`
-	IsDir bool  `json:"dir,omitempty"`
-	Size  int64 `json:"s,omitempty"`
+	Depth int
+	IsDir bool
+	Size  int64
 
 	// The three time attributes (ticks; 0 where the FS does not maintain
 	// them). §5 warns these are unreliable — the analysis checks that.
-	Created      sim.Time `json:"ct,omitempty"`
-	LastModified sim.Time `json:"mt,omitempty"`
-	LastAccessed sim.Time `json:"at,omitempty"`
+	Created      sim.Time
+	LastModified sim.Time
+	LastAccessed sim.Time
 
 	// Directory fan-out (directories only).
-	NumFiles   int `json:"nf,omitempty"`
-	NumSubdirs int `json:"nd,omitempty"`
+	NumFiles   int
+	NumSubdirs int
 }
 
 // Ext returns the lower-case extension of the record's name.
@@ -63,11 +60,12 @@ func shortName(name string) string {
 }
 
 // Snapshot is one volume's walk at a point in time.
+// Encode and Decode give it its on-disk form.
 type Snapshot struct {
-	Machine string       `json:"machine"`
-	Volume  string       `json:"volume"`
-	TakenAt sim.Time     `json:"taken_at"`
-	Records []WalkRecord `json:"records"`
+	Machine string
+	Volume  string
+	TakenAt sim.Time
+	Records []WalkRecord
 }
 
 // Take walks fs producing a snapshot. The walk is deterministic
@@ -144,22 +142,30 @@ func (s *Snapshot) TotalBytes() int64 {
 
 // paths reconstructs full paths from the pre-order/depth sequence —
 // the §3.1 "in such a way that the original tree can be recovered".
+// prefix holds the path of the innermost open directory chain and
+// ends[k] the length of its first k+1 components, so each path is one
+// append to a shared buffer and one string copy.
 func (s *Snapshot) paths() []string {
 	out := make([]string, len(s.Records))
-	stack := make([]string, 0, 16) // ancestor names at depths 1..k
+	prefix := make([]byte, 0, 256)
+	ends := make([]int, 0, 16) // prefix lengths of the ancestors at depths 1..k
 	for i, r := range s.Records {
 		if r.Depth == 0 {
 			out[i] = `\`
-			stack = stack[:0]
+			ends = ends[:0]
 			continue
 		}
-		if r.Depth-1 < len(stack) {
-			stack = stack[:r.Depth-1]
+		if r.Depth-1 < len(ends) {
+			ends = ends[:r.Depth-1]
 		}
-		parts := append(append([]string{}, stack...), r.Name)
-		out[i] = `\` + strings.Join(parts, `\`)
+		n := 0
+		if len(ends) > 0 {
+			n = ends[len(ends)-1]
+		}
+		prefix = append(append(prefix[:n], '\\'), r.Name...)
+		out[i] = string(prefix)
 		if r.IsDir {
-			stack = append(stack, r.Name)
+			ends = append(ends, len(prefix))
 		}
 	}
 	return out
@@ -190,27 +196,32 @@ type Diff struct {
 	Changed []Entry // same path, different size or times
 }
 
-// Compare computes the Diff from old to new.
+// Compare computes the Diff from old to new. Paths match
+// case-insensitively; where several old entries share a path, the last
+// one is compared and all of them count as seen.
 func Compare(oldSnap, newSnap *Snapshot) Diff {
-	oldBy := map[string]WalkRecord{}
-	for _, e := range oldSnap.Entries() {
-		oldBy[strings.ToLower(e.Path)] = e.Rec
+	oldEntries := oldSnap.Entries()
+	oldKeys := make([]string, len(oldEntries))
+	oldBy := make(map[string]int, len(oldEntries))
+	for i, e := range oldEntries {
+		oldKeys[i] = strings.ToLower(e.Path)
+		oldBy[oldKeys[i]] = i
 	}
 	var d Diff
-	seen := map[string]bool{}
+	seen := make([]bool, len(oldEntries))
 	for _, e := range newSnap.Entries() {
-		key := strings.ToLower(e.Path)
-		seen[key] = true
-		oldRec, ok := oldBy[key]
-		switch {
-		case !ok:
+		j, ok := oldBy[strings.ToLower(e.Path)]
+		if !ok {
 			d.Added = append(d.Added, e)
-		case !e.Rec.IsDir && (oldRec.Size != e.Rec.Size || oldRec.LastModified != e.Rec.LastModified):
+			continue
+		}
+		seen[j] = true
+		if oldRec := oldEntries[j].Rec; !e.Rec.IsDir && (oldRec.Size != e.Rec.Size || oldRec.LastModified != e.Rec.LastModified) {
 			d.Changed = append(d.Changed, e)
 		}
 	}
-	for _, e := range oldSnap.Entries() {
-		if !seen[strings.ToLower(e.Path)] {
+	for i, e := range oldEntries {
+		if !seen[oldBy[oldKeys[i]]] {
 			d.Removed = append(d.Removed, e)
 		}
 	}
@@ -245,19 +256,4 @@ func (d Diff) FractionUnder(prefix string) float64 {
 		return 0
 	}
 	return float64(under) / float64(total)
-}
-
-// Write serialises the snapshot as JSON.
-func (s *Snapshot) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
-
-// Read deserialises a snapshot.
-func Read(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	return &s, nil
 }

@@ -1,7 +1,8 @@
 package snapshot
 
 import (
-	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 	"repro/internal/sim"
 )
 
-func buildFS(t *testing.T) *fsys.FS {
+func buildFS(t testing.TB) *fsys.FS {
 	t.Helper()
 	fs := fsys.New(volume.FlavorNTFS, 1<<30)
 	fs.MkdirAll(`\winnt\profiles\alice\Temporary Internet Files`, 10)
@@ -144,31 +145,6 @@ func TestFATTimesZeroInSnapshot(t *testing.T) {
 	}
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	fs := buildFS(t)
-	snap := Take("m1", `C:`, fs, 100)
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Machine != snap.Machine || len(got.Records) != len(snap.Records) {
-		t.Errorf("round trip: %d vs %d records", len(got.Records), len(snap.Records))
-	}
-	if got.Records[3] != snap.Records[3] {
-		t.Error("record corrupted in round trip")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
 // TestTakeSizesRecordsExactly: after creates, renames and removes (of
 // files and of empty directories), Take allocates exactly one record per
 // live node and still emits the pre-order, ChildNames-ordered walk with
@@ -230,6 +206,60 @@ func TestTakeSizesRecordsExactly(t *testing.T) {
 	for i := range want {
 		if snap.Records[i] != want[i] {
 			t.Errorf("record %d = %+v, want %+v", i, snap.Records[i], want[i])
+		}
+	}
+}
+
+// compareReference is the direct form of Compare: a map of old records
+// by lower-cased path, a set of new paths, and a second pass over the
+// old entries for removals.
+func compareReference(oldSnap, newSnap *Snapshot) Diff {
+	oldBy := map[string]WalkRecord{}
+	for _, e := range oldSnap.Entries() {
+		oldBy[strings.ToLower(e.Path)] = e.Rec
+	}
+	var d Diff
+	seen := map[string]bool{}
+	for _, e := range newSnap.Entries() {
+		key := strings.ToLower(e.Path)
+		seen[key] = true
+		oldRec, ok := oldBy[key]
+		switch {
+		case !ok:
+			d.Added = append(d.Added, e)
+		case !e.Rec.IsDir && (oldRec.Size != e.Rec.Size || oldRec.LastModified != e.Rec.LastModified):
+			d.Changed = append(d.Changed, e)
+		}
+	}
+	for _, e := range oldSnap.Entries() {
+		if !seen[strings.ToLower(e.Path)] {
+			d.Removed = append(d.Removed, e)
+		}
+	}
+	sort.Slice(d.Added, func(i, j int) bool { return d.Added[i].Path < d.Added[j].Path })
+	sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i].Path < d.Removed[j].Path })
+	sort.Slice(d.Changed, func(i, j int) bool { return d.Changed[i].Path < d.Changed[j].Path })
+	return d
+}
+
+// TestCompareMatchesReference diffs generated volumes against each other
+// and a tree whose long names shorten to the same path (so several
+// entries share one), and requires Compare to equal the reference.
+func TestCompareMatchesReference(t *testing.T) {
+	dup := func(size int64) *Snapshot {
+		fs := buildFS(t)
+		long := strings.Repeat("x", 40)
+		fs.CreateFile(`\docs\`+long+"1.txt", size, types.AttrNormal, 50)
+		fs.CreateFile(`\docs\`+long+"2.TXT", 2*size, types.AttrNormal, 60)
+		fs.MkdirAll(`\docs\`+long+"a", 70)
+		fs.MkdirAll(`\docs\`+long+"b", 70)
+		return Take("m1", `C:`, fs, 100)
+	}
+	a, b := genSnapshot(t, 5, volume.FlavorNTFS), genSnapshot(t, 6, volume.FlavorNTFS)
+	for _, pair := range [][2]*Snapshot{{a, b}, {b, a}, {a, a}, {dup(10), dup(20)}, {dup(10), Take("m1", `C:`, buildFS(t), 100)}} {
+		if got, want := Compare(pair[0], pair[1]), compareReference(pair[0], pair[1]); !reflect.DeepEqual(got, want) {
+			t.Errorf("Compare differs from reference: %d/%d/%d added/changed/removed, want %d/%d/%d",
+				len(got.Added), len(got.Changed), len(got.Removed), len(want.Added), len(want.Changed), len(want.Removed))
 		}
 	}
 }

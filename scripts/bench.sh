@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# bench.sh — run the analysis-engine, fleet and cache-manager benchmarks
-# and emit the tracked perf baseline:
+# bench.sh — run the analysis-engine, fleet, cache-manager and snapshot
+# codec benchmarks and emit the tracked perf baseline:
 #
 #   BENCH_analysis.txt   raw `go test -bench` output (benchstat-ready:
 #                        feed two of these to benchstat old.txt new.txt)
@@ -38,6 +38,11 @@ go test -run NONE -bench 'BenchmarkFleet/workers=(1|2)$' -cpu 2 \
 # they get a fixed iteration count large enough to average over.
 go test -run NONE -bench 'BenchmarkCacheDirtyTail|BenchmarkLazyWriteScan' \
   -benchtime 20x -count "$COUNT" ./internal/ntos/cachemgr | tee -a "$TXT"
+
+# Snapshot codec: encode and decode one study-sized walk (~47K records).
+# Each op takes milliseconds, so a fixed iteration count averages enough.
+go test -run NONE -bench 'BenchmarkSnapshotCodec' \
+  -benchtime 50x -count "$COUNT" ./internal/snapshot | tee -a "$TXT"
 
 # Benchmark lines look like:
 #   BenchmarkComputeResults/workers=4-8  3  408389528 ns/op  186966 instances
