@@ -16,7 +16,7 @@ import (
 	"repro/internal/sim"
 )
 
-// queryService builds (once) a columnar corpus on disk and a query
+// queryService builds (once) a corpus on disk and a query
 // service over it, shared by the query benchmarks.
 var (
 	queryOnce sync.Once
@@ -37,7 +37,6 @@ func queryService(b *testing.B) *query.Service {
 			Machines:    6,
 			Duration:    sim.Hour,
 			WithNetwork: true,
-			Columnar:    true,
 		})
 		if queryErr = s.Run(); queryErr != nil {
 			return

@@ -1,17 +1,15 @@
-// Command fscorpus manages columnar trace corpora: it converts between
-// the row layout (*.trz, per-machine DEFLATE record streams) and the
-// colstore layout (*.fsc, per-machine columnar segments with zone maps),
-// inspects segment layout and encoding statistics, proves row/columnar
-// equivalence via the logical-stream SHA-256, and runs predicate-pushdown
-// scans with the pushdown ledger (blocks scanned vs skipped, bytes
-// decoded per column family) printed after the results.
+// Command fscorpus inspects saved trace corpora (per-machine colstore
+// segments, *.fsc, with zone maps): it prints segment layout and encoding
+// statistics, verifies each segment's footer SHA-256 against its decoded
+// records, and runs predicate-pushdown scans with the pushdown ledger
+// (blocks scanned vs skipped, bytes decoded per column family) printed
+// after the results. A directory holding *.trz row streams from an older
+// corpus layout is refused.
 //
 // Usage:
 //
-//	fscorpus convert -to columnar traces/        # add *.fsc beside *.trz
-//	fscorpus convert -to row -out rows/ traces/  # materialize row streams
 //	fscorpus stats traces/                       # layout + per-column bytes
-//	fscorpus verify traces/                      # SHA-256 row≡columnar proof
+//	fscorpus verify traces/                      # per-segment SHA-256 check
 //	fscorpus scan -kinds read,write -min-h 1 -max-h 2 traces/
 package main
 
@@ -38,8 +36,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "convert":
-		cmdConvert(os.Args[2:])
 	case "stats":
 		cmdStats(os.Args[2:])
 	case "verify":
@@ -52,8 +48,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fscorpus <convert|stats|verify|scan> [flags] <corpus-dir>
-  convert -to columnar|row [-out dir] [-block-records n] <dir>
+	fmt.Fprintln(os.Stderr, `usage: fscorpus <stats|verify|scan> [flags] <corpus-dir>
   stats   <dir>
   verify  [-q] <dir>
   scan    [-kinds k1,k2] [-min-h h] [-max-h h] <dir>`)
@@ -69,69 +64,11 @@ func dirArg(fs *flag.FlagSet) string {
 	return fs.Arg(0)
 }
 
-func cmdConvert(args []string) {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "columnar", "target layout: columnar or row")
-	out := fs.String("out", "", "output directory (default: write beside the source)")
-	blockRecs := fs.Int("block-records", 0, "records per columnar block (0 = default 65536)")
-	fs.Parse(args)
-	dir := dirArg(fs)
-	if *out == "" {
-		*out = dir
-	}
-	switch *to {
-	case "columnar":
-		store, err := collect.LoadDir(dir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sums, err := store.SaveColumnarDir(*out, colstore.Options{BlockRecords: *blockRecs}, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var recs, bytes int64
-		for _, s := range sums {
-			recs += int64(s.Records)
-			bytes += s.Bytes
-		}
-		fmt.Printf("encoded %d machines, %d records, %d KB columnar into %s\n",
-			len(sums), recs, bytes/1024, *out)
-	case "row":
-		segs, err := collect.LoadColumnarDir(dir, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(segs) == 0 {
-			log.Fatalf("no *%s segments in %s", collect.ColumnarExt, dir)
-		}
-		store := collect.NewStore()
-		for name, seg := range segs {
-			recs, err := seg.ReadAll()
-			if err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			if err := store.Append(name, recs); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-		}
-		if err := store.Finalize(); err != nil {
-			log.Fatal(err)
-		}
-		if err := store.SaveDir(*out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("decoded %d machines, %d records into row streams in %s\n",
-			len(segs), store.TotalRecords(), *out)
-	default:
-		log.Fatalf("-to must be columnar or row (got %q)", *to)
-	}
-}
-
-func cmdStats(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	fs.Parse(args)
-	dir := dirArg(fs)
-	segs, err := collect.LoadColumnarDir(dir, nil)
+// loadSegments opens every segment of the corpus in dir, reporting scans
+// to m (nil ok), and returns them with their machine names sorted. An
+// unreadable directory or one without segments is fatal.
+func loadSegments(dir string, m *colstore.Metrics) (map[string]*colstore.Segment, []string) {
+	segs, err := collect.LoadColumnarDir(dir, m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -143,6 +80,14 @@ func cmdStats(args []string) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return segs, names
+}
+
+func cmdStats(args []string) {
+	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+	fs.Parse(args)
+	dir := dirArg(fs)
+	segs, names := loadSegments(dir, nil)
 	var total colstore.SegmentStats
 	for _, name := range names {
 		st, err := segs[name].Stats()
@@ -172,60 +117,26 @@ func cmdVerify(args []string) {
 	quiet := fs.Bool("q", false, "print only failures and the final verdict")
 	fs.Parse(args)
 	dir := dirArg(fs)
-	segs, err := collect.LoadColumnarDir(dir, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(segs) == 0 {
-		log.Fatalf("no *%s segments in %s", collect.ColumnarExt, dir)
-	}
-	store, err := collect.LoadDir(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows := map[string]bool{}
-	for _, m := range store.Machines() {
-		rows[m] = true
-	}
-	names := make([]string, 0, len(segs))
-	for n := range segs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	segs, names := loadSegments(dir, nil)
 	failed := 0
 	for _, name := range names {
 		seg := segs[name]
-		// Internal proof: decode every record, re-encode, digest.
+		// Decode every record, re-encode, digest: the footer SHA-256 must
+		// match the logical record stream the segment decodes to.
 		if err := seg.VerifySHA(); err != nil {
 			failed++
 			fmt.Printf("FAIL %-22s %v\n", name, err)
 			continue
 		}
-		// Cross-layout proof: the row stream's logical bytes must digest
-		// to the same value the segment's footer carries.
-		status := "ok (columnar self-check)"
-		if rows[name] {
-			recs, err := store.Records(name)
-			if err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			sum := colstore.RowStreamSHA(recs)
-			if sum != seg.SHA256() {
-				failed++
-				fmt.Printf("FAIL %-22s row stream digest %x != segment %x\n", name, sum, seg.SHA256())
-				continue
-			}
-			status = "ok (row ≡ columnar)"
-		}
 		if !*quiet {
 			sha := seg.SHA256()
-			fmt.Printf("%-22s %9d records  sha256 %x  %s\n", name, seg.Records(), sha[:8], status)
+			fmt.Printf("%-22s %9d records  sha256 %x  ok\n", name, seg.Records(), sha[:8])
 		}
 	}
 	if failed > 0 {
 		log.Fatalf("%d of %d machines FAILED verification", failed, len(names))
 	}
-	fmt.Printf("verified %d machines: columnar segments are digest-identical to their record streams\n", len(names))
+	fmt.Printf("verified %d machines: every segment decodes to the record stream its footer digests\n", len(names))
 }
 
 // parseKinds accepts event-kind names (as printed by EventKind.String)
@@ -274,18 +185,7 @@ func cmdScan(args []string) {
 	}
 	reg := obs.NewRegistry()
 	m := colstore.NewMetrics(reg)
-	segs, err := collect.LoadColumnarDir(dir, m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(segs) == 0 {
-		log.Fatalf("no *%s segments in %s", collect.ColumnarExt, dir)
-	}
-	names := make([]string, 0, len(segs))
-	for n := range segs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	segs, names := loadSegments(dir, m)
 	var matched, totalRecs, totalBytes int64
 	for _, name := range names {
 		seg := segs[name]

@@ -12,7 +12,6 @@
 // Usage:
 //
 //	fsfleet -out traces/ -machines 45 -hours 24 -seed 1
-//	fsfleet -out traces/ -hours 2 -format columnar   # colstore segments (*.fsc)
 //	fsfleet -out traces/ -workers 8 -checkpoint-dir ckpt/
 //	fsfleet -out traces/ -workers 8 -checkpoint-dir ckpt/ -resume
 //
@@ -43,6 +42,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/collect"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -72,12 +72,8 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "serve live Prometheus-text /metrics, /debug/spans and /debug/pprof on this address")
 		traceOut = flag.String("trace-out", "", "write the run's span trees as Chrome trace_event JSON here (load in Perfetto)")
 		top      = flag.Bool("top", false, "repaint a top(1)-style per-shard view instead of one-line progress")
-		format   = flag.String("format", "row", "saved corpus layout: row (*.trz) or columnar (*.fsc)")
 	)
 	flag.Parse()
-	if *format != "row" && *format != "columnar" {
-		log.Fatalf("-format must be row or columnar (got %q)", *format)
-	}
 
 	// One registry instruments the whole process (fleet run or collection
 	// server). Metrics and spans are observational only: the corpus is
@@ -126,7 +122,6 @@ func main() {
 		Resume:          *resume,
 		CollectAddr:     *collAddr,
 		NetSink:         agent.NetSinkConfig{SpillSlots: *spill},
-		Columnar:        *format == "columnar",
 		Obs:             reg,
 		Trace:           tracer,
 	})
@@ -251,7 +246,7 @@ func main() {
 	if err := study.Save(*out); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "saved %s corpus to %s\n", *format, *out)
+	fmt.Fprintf(os.Stderr, "saved corpus to %s\n", *out)
 }
 
 // repaintTop redraws the top(1)-style fleet view in place, erasing to the
@@ -295,7 +290,7 @@ func runServer(addr, out string, reg *obs.Registry) {
 	}
 	fmt.Fprintf(os.Stderr, "received %d records from %d machines\n",
 		store.TotalRecords(), len(store.Machines()))
-	if err := store.SaveDir(out); err != nil {
+	if _, err := store.SaveColumnarDir(out, colstore.Options{}, nil); err != nil {
 		log.Fatal(err)
 	}
 	if err := reg.WriteSnapshot(filepath.Join(out, "obs.json")); err != nil {

@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/replay"
 )
@@ -66,7 +67,7 @@ func main() {
 	}
 
 	if *out != "" {
-		if err := res.Store.SaveDir(*out); err != nil {
+		if _, err := res.Store.SaveColumnarDir(*out, colstore.Options{}, nil); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("replayed corpus saved to %s\n", *out)

@@ -9,19 +9,23 @@ import (
 	"repro/internal/colstore"
 )
 
-// ColumnarExt is the file suffix of a columnar segment on disk. A saved
-// corpus directory may hold <stem>.trz (row), <stem>.fsc (columnar) or
-// both for the same machine; loaders prefer the columnar form.
+// ColumnarExt is the file suffix of a columnar segment on disk: a saved
+// corpus holds one <stem>.fsc per machine.
 const ColumnarExt = ".fsc"
 
+// rowExt is the suffix of the DEFLATE row streams that older corpora
+// held instead of segments. LoadColumnarDir refuses a directory holding
+// one rather than loading it as an empty or partial corpus.
+const rowExt = ".trz"
+
 // SaveColumnarDir writes each finalized machine stream as a columnar
-// segment <dir>/<machine>.fsc, using the same stem assignment as
-// SaveDir. prebuilt (may be nil) supplies already-encoded segments keyed
-// by machine name — the fleet engine's checkpointed segments — which are
-// written verbatim instead of re-encoding the row stream. It returns the
-// per-machine summaries; each summary's SHA-256 equals the digest of the
-// machine's logical record stream, so callers can prove row/columnar
-// equivalence without re-reading files.
+// segment <dir>/<stem>.fsc, with the stem → machine assignment recorded
+// in StemManifestName. prebuilt (may be nil) supplies already-encoded
+// segments keyed by machine name — the fleet engine's checkpointed
+// segments — which are written verbatim instead of re-encoding the
+// stream. It returns the per-machine summaries; each summary's SHA-256
+// equals colstore.RowStreamSHA of the machine's records, so callers can
+// check a segment against its stream without re-reading files.
 func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[string][]byte) (map[string]colstore.Summary, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -63,12 +67,17 @@ func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[
 // machine name: the stem manifest written at save time resolves
 // SafeName-rewritten and collision-suffixed stems back to the names the
 // streams were collected under, and a corpus without a manifest keeps
-// the file stems. Metrics m may be nil; when set, every opened segment
-// reports scans against it.
+// the file stems. A *.trz row stream in dir fails the load. Metrics m
+// may be nil; when set, every opened segment reports scans against it.
 func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), rowExt) {
+			return nil, fmt.Errorf("collect: %s: row stream from an older corpus layout; re-collect the corpus", e.Name())
+		}
 	}
 	stems, err := readStemManifest(dir)
 	if err != nil {

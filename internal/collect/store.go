@@ -371,9 +371,7 @@ type machineFile struct {
 // fileStems assigns each machine a unique file stem: SafeName-flattened,
 // with machines whose names flatten to the same stem disambiguated by a
 // deterministic numeric suffix (-2, -3, ...) in sorted-name order, so two
-// machines can never silently overwrite each other's file. Row and
-// columnar layouts share this assignment, keeping <stem>.trz and
-// <stem>.fsc referring to the same machine.
+// machines can never silently overwrite each other's file.
 func (s *Store) fileStems() []machineFile {
 	names := s.Machines()
 	out := make([]machineFile, 0, len(names))
@@ -394,12 +392,11 @@ func (s *Store) fileStems() []machineFile {
 // machine-name assignment. SafeName flattening is lossy ("pool/01" and
 // "pool:01" both land on "pool_01", with a numeric suffix breaking the
 // tie), so without this manifest a Save→Load round trip silently renames
-// any machine whose name was rewritten or collided. Both corpus layouts
-// share one manifest: <stem>.trz and <stem>.fsc name the same machine.
+// any machine whose name was rewritten or collided.
 const StemManifestName = "machines.json"
 
 // ErrManifestMismatch reports a corpus directory whose stem manifest
-// disagrees with the files on disk — a stream file whose stem the
+// disagrees with the files on disk — a segment file whose stem the
 // manifest does not mention. That means the directory holds a mix of
 // corpora (or a manifest from a different save) and the true machine
 // names cannot be trusted; callers test with errors.Is.
@@ -412,7 +409,7 @@ type stemManifest struct {
 	Stems map[string]string `json:"stems"`
 }
 
-// writeStemManifest persists the stem assignment beside the streams.
+// writeStemManifest persists the stem assignment beside the segments.
 func writeStemManifest(dir string, stems []machineFile) error {
 	man := stemManifest{Version: 1, Stems: make(map[string]string, len(stems))}
 	for _, mf := range stems {
@@ -454,75 +451,3 @@ func machineForStem(stems map[string]string, stem, file string) (string, error) 
 	}
 	return name, nil
 }
-
-// SaveDir writes each finalized stream as <dir>/<machine>.trz, with
-// colliding flattened names disambiguated per fileStems and the stem →
-// machine assignment recorded in StemManifestName so LoadDir restores
-// the true names.
-func (s *Store) SaveDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	stems := s.fileStems()
-	for _, mf := range stems {
-		data, _, err := s.ExportStream(mf.machine)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, mf.stem+".trz")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return writeStemManifest(dir, stems)
-}
-
-// LoadDir reads every *.trz file in dir into a finalized Store. Machine
-// names come from the stem manifest when present (exact round trip of
-// SaveDir, including SafeName-rewritten and colliding names); a corpus
-// without one keeps the file stems as names.
-func LoadDir(dir string) (*Store, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	stems, err := readStemManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore()
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".trz") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		name, err := machineForStem(stems, strings.TrimSuffix(e.Name(), ".trz"), e.Name())
-		if err != nil {
-			return nil, err
-		}
-		// Count records by streaming through the stream once, without
-		// materializing it.
-		zr := flate.NewReader(bytes.NewReader(data))
-		rd := tracefmt.NewReader(zr)
-		var rec tracefmt.Record
-		for {
-			if err := rd.ReadInto(&rec); err != nil {
-				if err != io.EOF {
-					zr.Close()
-					return nil, fmt.Errorf("collect: %s: %w", e.Name(), err)
-				}
-				break
-			}
-		}
-		zr.Close()
-		if err := s.ImportStream(name, data, rd.Count()); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-var _ io.Writer = (*bytes.Buffer)(nil) // interface sanity

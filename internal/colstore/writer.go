@@ -75,10 +75,11 @@ func NewWriter(w io.Writer, opts Options) *Writer {
 	return &Writer{w: w, opts: opts, sha: sha256.New()}
 }
 
-// RowStreamSHA digests a record slice exactly as the row layout stores
-// it: the concatenated tracefmt encodings, the same bytes a segment
-// footer's SHA-256 covers. It is the cross-layout equivalence check —
-// digest the inflated row stream, compare against the segment footer.
+// RowStreamSHA digests a record slice as its logical record stream: the
+// concatenated tracefmt encodings, the same bytes a segment footer's
+// SHA-256 covers and collect.Store's DEFLATE stream inflates to. It
+// checks a segment against the records it was encoded from: digest the
+// records, compare against the segment footer.
 func RowStreamSHA(recs []tracefmt.Record) [sha256.Size]byte {
 	h := sha256.New()
 	var buf []byte

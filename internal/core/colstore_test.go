@@ -1,11 +1,9 @@
 package core
 
 import (
-	"compress/flate"
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,7 +19,7 @@ import (
 )
 
 // colstoreConfig is the shared small fleet of the columnar tests.
-func colstoreConfig(workers int, columnar bool) Config {
+func colstoreConfig(workers int) Config {
 	return Config{
 		Seed:            23,
 		Machines:        6,
@@ -29,7 +27,6 @@ func colstoreConfig(workers int, columnar bool) Config {
 		WithNetwork:     true,
 		SnapshotAtStart: true,
 		Workers:         workers,
-		Columnar:        columnar,
 	}
 }
 
@@ -38,89 +35,55 @@ func renderReport(t *testing.T, res *report.Results) string {
 	return res.Table1() + res.Table2() + res.Table3() + res.Section8() + res.Section9()
 }
 
-// rowStreamDigest inflates one saved .trz file and digests its logical
-// record bytes — the row-side half of the equivalence proof.
-func rowStreamDigest(t *testing.T, path string) [sha256.Size]byte {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr := flate.NewReader(f)
-	defer zr.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, zr); err != nil {
-		t.Fatal(err)
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
-// TestColstoreStudyByteIdentical is the end-to-end equivalence proof:
-// the same seed studied through the row corpus and through the columnar
-// corpus must render byte-identical reports, and each machine's columnar
-// segment must carry the SHA-256 of exactly the bytes its row stream
-// inflates to — at every worker count the fleet engine supports.
+// TestColstoreStudyByteIdentical is the end-to-end segment proof: each
+// machine's saved segment must carry the SHA-256 of exactly the record
+// stream the study collected (the bytes its DEFLATE stream inflates to),
+// decode back to that digest, and not change with the fleet's worker
+// count; and the loaded corpus must render the same report as the
+// in-process one.
 func TestColstoreStudyByteIdentical(t *testing.T) {
 	var wantReport string
 	var wantSums map[string][sha256.Size]byte
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rowDir, colDir := t.TempDir(), t.TempDir()
-
-			rowStudy := NewStudy(colstoreConfig(workers, false))
-			if err := rowStudy.Run(); err != nil {
+			dir := t.TempDir()
+			st := NewStudy(colstoreConfig(workers))
+			if err := st.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if err := rowStudy.Save(rowDir); err != nil {
+			if err := st.Save(dir); err != nil {
 				t.Fatal(err)
 			}
-
-			colStudy := NewStudy(colstoreConfig(workers, true))
-			if err := colStudy.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := colStudy.Save(colDir); err != nil {
-				t.Fatal(err)
-			}
-
-			// The two directories hold different layouts of one corpus.
-			row, err := LoadCorpusTrace(rowDir, nil, nil)
+			loaded, err := LoadCorpusTrace(dir, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			col, err := LoadCorpusTrace(colDir, nil, nil)
+			if len(loaded.Segments) != len(st.Store.Machines()) {
+				t.Fatalf("loaded %d segments for %d machines", len(loaded.Segments), len(st.Store.Machines()))
+			}
+			inProc, err := st.DataSet()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowReport := renderReport(t, report.ComputeWorkers(row.DS, runtime.GOMAXPROCS(0)))
-			colReport := renderReport(t, report.ComputeWorkers(col.DS, runtime.GOMAXPROCS(0)))
-			if rowReport != colReport {
-				t.Fatal("row and columnar corpora rendered different reports")
+			rendered := renderReport(t, report.ComputeWorkers(inProc, runtime.GOMAXPROCS(0)))
+			if got := renderReport(t, report.ComputeWorkers(loaded.DS, runtime.GOMAXPROCS(0))); got != rendered {
+				t.Fatal("loaded corpus rendered a different report from the in-process one")
 			}
 			if wantReport == "" {
-				wantReport = rowReport
-			} else if rowReport != wantReport {
+				wantReport = rendered
+			} else if rendered != wantReport {
 				t.Fatalf("report diverged at %d workers", workers)
 			}
 
-			// Per-machine digest equivalence: segment footer == inflated
-			// row stream bytes.
-			segs, err := collect.LoadColumnarDir(colDir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) == 0 {
-				t.Fatal("columnar save produced no segments")
-			}
 			sums := map[string][sha256.Size]byte{}
-			for name, seg := range segs {
-				rowPath := filepath.Join(rowDir, name+".trz")
-				if got, want := seg.SHA256(), rowStreamDigest(t, rowPath); got != want {
-					t.Errorf("%s: segment digest %x != row stream digest %x", name, got, want)
+			for name, seg := range loaded.Segments {
+				recs, err := st.Store.Records(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := seg.SHA256(), colstore.RowStreamSHA(recs); got != want {
+					t.Errorf("%s: segment digest %x != record stream digest %x", name, got, want)
 				}
 				if err := seg.VerifySHA(); err != nil {
 					t.Errorf("%s: %v", name, err)
@@ -140,59 +103,13 @@ func TestColstoreStudyByteIdentical(t *testing.T) {
 	}
 }
 
-// TestColstoreLoadPrefersSegments pins the fallback order: a directory
-// holding both layouts loads through the columnar path, and the loaded
-// corpus equals the row-only load record for record.
-func TestColstoreLoadPrefersSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStudy(colstoreConfig(2, false))
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	row, err := LoadCorpusTrace(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowDS := row.DS
-	// Add segments beside the row streams; loads must now go columnar.
-	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	both, err := LoadCorpusTrace(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bothDS := both.DS
-	if len(bothDS.Machines) != len(rowDS.Machines) {
-		t.Fatalf("mixed-layout load found %d machines, row load %d", len(bothDS.Machines), len(rowDS.Machines))
-	}
-	for i, mt := range bothDS.Machines {
-		rmt := rowDS.Machines[i]
-		rows := mt.Rows()
-		if mt.Name != rmt.Name || len(rows) != len(rmt.Rows()) {
-			t.Fatalf("machine %d: %s/%d records vs %s/%d", i, mt.Name, len(rows), rmt.Name, len(rmt.Rows()))
-		}
-		for j := range rows {
-			if rows[j] != rmt.Rows()[j] {
-				t.Fatalf("%s: record %d differs between layouts", mt.Name, j)
-			}
-		}
-		if mt.Index().KindCount(0) != rmt.Index().KindCount(0) {
-			t.Fatalf("%s: pre-seeded index disagrees with rebuilt index", mt.Name)
-		}
-	}
-}
-
 // TestColstoreCheckpointResume pins the checkpointed-segment path: a
-// columnar study resumed from checkpoints saves segments identical to an
+// study resumed from checkpoints saves segments identical to an
 // uninterrupted run's, without re-encoding (the restored bytes are
 // written verbatim).
 func TestColstoreCheckpointResume(t *testing.T) {
 	ckpt := t.TempDir()
-	cfg := colstoreConfig(2, true)
+	cfg := colstoreConfig(2)
 	cfg.CheckpointDir = ckpt
 
 	oneDir := t.TempDir()
@@ -215,6 +132,11 @@ func TestColstoreCheckpointResume(t *testing.T) {
 	}
 	if restored != cfg.Machines {
 		t.Fatalf("resume restored %d of %d machines", restored, cfg.Machines)
+	}
+	for i, r := range two.restored {
+		if r.Segment == nil {
+			t.Fatalf("%s: checkpoint carries no segment", two.specs[i].name)
+		}
 	}
 	if err := two.Run(); err != nil {
 		t.Fatal(err)
@@ -246,7 +168,7 @@ func TestColstoreCheckpointResume(t *testing.T) {
 		}
 	}
 	if segFiles == 0 {
-		t.Fatal("columnar study saved no segments")
+		t.Fatal("study saved no segments")
 	}
 }
 
@@ -297,13 +219,13 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestColumnarComputeByteIdentical is the golden gate of the analysis
-// pipeline: one fixed-seed study, read through three layouts — the
-// in-process DataSet, a row save→load and a columnar save→load — and
-// recomputed at several compute worker counts, must render every table,
-// figure and section byte-identically to the committed report, and the
-// study's per-machine stored streams must match the committed SHA-256s.
-// Each (layout, workers) pass builds fresh traces so no lazily derived
-// state carries over between passes.
+// pipeline: one fixed-seed study, read through the in-process DataSet
+// and through its saved and loaded segments, and recomputed at several
+// compute worker counts, must render every table, figure and section
+// byte-identically to the committed report, and the study's per-machine
+// stored streams must match the committed SHA-256s. Each (layout,
+// workers) pass builds fresh traces so no lazily derived state carries
+// over between passes.
 func TestColumnarComputeByteIdentical(t *testing.T) {
 	st := NewStudy(Config{
 		Seed: 29, Machines: 6, Duration: 30 * sim.Minute,
@@ -322,30 +244,11 @@ func TestColumnarComputeByteIdentical(t *testing.T) {
 	}
 	checkGolden(t, "golden_streams.txt", sums.String())
 
-	rowDir, colDir := t.TempDir(), t.TempDir()
-	if err := st.Save(rowDir); err != nil {
-		t.Fatal(err)
-	}
-	st.Cfg.Columnar = true
-	if err := st.Save(colDir); err != nil {
+	dir := t.TempDir()
+	if err := st.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	load := func(dir string, columnar bool) func(int) (*analysis.DataSet, []*snapshot.Snapshot) {
-		return func(int) (*analysis.DataSet, []*snapshot.Snapshot) {
-			c, err := LoadCorpusTrace(dir, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if columnar && len(c.Segments) != len(c.DS.Machines) {
-				t.Fatalf("columnar layout loaded %d segments for %d machines", len(c.Segments), len(c.DS.Machines))
-			}
-			if !columnar && len(c.Segments) != 0 {
-				t.Fatalf("row layout loaded %d segments, want 0", len(c.Segments))
-			}
-			return c.DS, c.Snaps
-		}
-	}
 	var want string
 	for _, layout := range []struct {
 		name string
@@ -359,8 +262,16 @@ func TestColumnarComputeByteIdentical(t *testing.T) {
 			}
 			return ds, st.Snapshots
 		}},
-		{"row", load(rowDir, false)},
-		{"columnar", load(colDir, true)},
+		{"columnar", func(int) (*analysis.DataSet, []*snapshot.Snapshot) {
+			c, err := LoadCorpusTrace(dir, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Segments) != len(c.DS.Machines) {
+				t.Fatalf("loaded %d segments for %d machines", len(c.Segments), len(c.DS.Machines))
+			}
+			return c.DS, c.Snaps
+		}},
 	} {
 		for _, workers := range []int{1, 2, 8} {
 			ds, snaps := layout.open(workers)

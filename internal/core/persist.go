@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/snapshot"
-	"repro/internal/tracefmt"
 )
 
 // manifest records per-machine dimensions next to the trace store.
@@ -30,31 +29,23 @@ type manifestEntry struct {
 }
 
 // Save writes the collected corpus, snapshots and the machine manifest
-// into dir. Each snapshot is one <machine>-NNN.snap file in the binary
-// snapshot codec (snapshot.Encode: magic, header, one flag-prefixed
-// varint record per walk entry, SHA-256 trailer). The corpus layout
-// follows Cfg.Columnar: row streams (*.trz) by default, colstore
-// segments (*.fsc) when set — restored machines reuse the segment
-// carried by their checkpoint instead of re-encoding. The study must
-// have Run.
+// into dir. Each machine's trace is one colstore segment <stem>.fsc;
+// restored machines reuse the segment carried by their checkpoint
+// instead of re-encoding. Each snapshot is one <machine>-NNN.snap file
+// in the binary snapshot codec (snapshot.Encode: magic, header, one
+// flag-prefixed varint record per walk entry, SHA-256 trailer). The
+// study must have Run.
 func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	prebuilt := map[string][]byte{}
+	for i, r := range s.restored {
+		if r != nil && r.Segment != nil {
+			prebuilt[s.specs[i].name] = r.Segment
+		}
 	}
-	if s.Cfg.Columnar {
-		prebuilt := map[string][]byte{}
-		for i, r := range s.restored {
-			if r != nil && r.Segment != nil {
-				prebuilt[s.specs[i].name] = r.Segment
-			}
-		}
-		if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{Metrics: s.colMetrics}, prebuilt); err != nil {
-			return err
-		}
-	} else if err := s.Store.SaveDir(dir); err != nil {
+	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{Metrics: s.colMetrics}, prebuilt); err != nil {
 		return err
 	}
 	var man manifest
@@ -92,38 +83,29 @@ const (
 
 // Corpus is a loaded study directory with every layer kept accessible:
 // the analysis DataSet (what the report pipeline consumes), the raw
-// columnar segments (what the pushdown scan engine serves), the row
-// store for machines saved without a segment, and the snapshots. The
-// query service holds one of these for its whole lifetime.
+// columnar segments (what the pushdown scan engine serves) and the
+// snapshots. The query service holds one of these for its whole
+// lifetime.
 type Corpus struct {
 	DS    *analysis.DataSet
 	Snaps []*snapshot.Snapshot
-	// Segments holds the columnar form keyed by true machine name; a
-	// machine absent here was loaded from its row stream.
+	// Segments holds each machine's segment keyed by true machine name.
 	Segments map[string]*colstore.Segment
-	// Store holds the row streams (possibly empty for a pure-columnar
-	// corpus), keyed by true machine name.
-	Store *collect.Store
 }
 
 // LoadCorpusTrace reads a saved study directory back into an analysis
-// corpus, its snapshots and the storage layers behind them, so callers
-// that serve both decoded analyses and raw pushdown scans (the query
-// service) load the directory exactly once. Machines saved as columnar
-// segments (*.fsc) are scanned into their trace tables and the rest are
-// filled from their row streams (*.trz); a directory may mix both, and a
-// machine with both forms uses the columnar one. Snapshots come from the
-// *.snap files; a *.snap.json file (an older corpus layout) fails the
-// load instead of leaving §5 without snapshots. Both options are
-// nil-safe: a non-nil reg counts blocks scanned/skipped and bytes decoded
-// per column family for every opened segment, and a non-nil tr records
-// each columnar machine's scan/argsort/gather stages as a span tree.
+// corpus, its snapshots and the segments behind them, so callers that
+// serve both decoded analyses and raw pushdown scans (the query service)
+// load the directory exactly once. Each machine's segment (*.fsc) is
+// scanned into its trace table, in sorted machine order. Snapshots come
+// from the *.snap files. Files of older corpus layouts fail the load
+// with an error naming the file, rather than loading a corpus without
+// them: a *.trz row stream or a *.snap.json snapshot. Both options are
+// nil-safe: a non-nil reg counts blocks scanned/skipped and bytes
+// decoded per column family for every opened segment, and a non-nil tr
+// records each machine's scan/argsort/gather stages as a span tree.
 func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	segs, err := collect.LoadColumnarDir(dir, colstore.NewMetrics(reg))
-	if err != nil {
-		return nil, err
-	}
-	store, err := collect.LoadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +117,7 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	}
 	cats := map[string]machine.Category{}
 	procs := map[string]map[uint32]string{}
-	// Streams from a corpus without a stem manifest surface under their
+	// Segments from a corpus without a stem manifest surface under their
 	// flattened file stems, so register those keys first and let the true
 	// names (the stem-manifest round trip) overwrite them.
 	for _, e := range man.Machines {
@@ -146,38 +128,18 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		cats[e.Name] = machine.Category(e.Category)
 		procs[e.Name] = e.ProcNames
 	}
-	// Union of both layouts, row names first (sorted), then any
-	// columnar-only machines in sorted order.
-	names := store.Machines()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	var extra []string
+	names := make([]string, 0, len(segs))
 	for n := range segs {
-		if !have[n] {
-			extra = append(extra, n)
-		}
+		names = append(names, n)
 	}
-	sort.Strings(extra)
-	names = append(names, extra...)
+	sort.Strings(names)
 	ds := &analysis.DataSet{}
 	for _, name := range names {
-		var mt *analysis.MachineTrace
-		if seg := segs[name]; seg != nil {
-			sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
-			mt, err = analysis.NewMachineTraceColumnar(name, cats[name], seg, sp)
-			sp.Finish()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			mt, err = analysis.NewMachineTraceFrom(name, cats[name], func(fill func([]tracefmt.Record)) error {
-				return store.ReadChunks(name, fill)
-			})
-			if err != nil {
-				return nil, err
-			}
+		sp := tr.StartTrace("load", name, trace.HashID("load", name), nil)
+		mt, err := analysis.NewMachineTraceColumnar(name, cats[name], segs[name], sp)
+		sp.Finish()
+		if err != nil {
+			return nil, err
 		}
 		mt.ProcNames = procs[name]
 		ds.Machines = append(ds.Machines, mt)
@@ -206,5 +168,5 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		}
 		snaps = append(snaps, snap)
 	}
-	return &Corpus{DS: ds, Snaps: snaps, Segments: segs, Store: store}, nil
+	return &Corpus{DS: ds, Snaps: snaps, Segments: segs}, nil
 }

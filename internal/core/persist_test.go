@@ -120,6 +120,22 @@ func TestLoadRejectsLegacySnapshots(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRowCorpus: a corpus holding *.trz row streams from the
+// older layout fails the load, naming the first one and saying to
+// re-collect, rather than loading without those machines.
+func TestLoadRejectsRowCorpus(t *testing.T) {
+	dir, _ := savedSnapshotStudy(t)
+	for _, name := range []string{"walk-up-02.trz", "walk-up-01.trz"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadCorpusTrace(dir, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "walk-up-01.trz") || !strings.Contains(err.Error(), "re-collect the corpus") {
+		t.Fatalf("load of a corpus with *.trz streams: err = %v, want a re-collect error naming walk-up-01.trz", err)
+	}
+}
+
 // TestLoadRejectsCorruptSnapshot: one flipped byte in a *.snap file fails
 // the load, and the error names the file.
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {

@@ -79,12 +79,9 @@ type Config struct {
 	// Resume loads matching checkpoints from CheckpointDir instead of
 	// re-running those machines.
 	Resume bool
-	// Columnar switches the saved corpus to the colstore layout: Save
-	// writes per-machine columnar segments (*.fsc) instead of row
-	// streams, and checkpoints carry the segment so a resumed study
-	// saves without re-encoding. Load prefers segments wherever they
-	// exist and falls back to row streams, so either corpus layout
-	// round-trips through the same analysis.
+	// Columnar is ignored: Save always writes colstore segments. It
+	// remains only because the benchmark adapter under perfbench/ still
+	// sets it; ROADMAP item 1 deletes it.
 	Columnar bool
 
 	// Obs, when set, instruments the whole stack — NT layers, trace
@@ -261,7 +258,6 @@ func NewStudy(cfg Config) *Study {
 		Workers:       cfg.Workers,
 		CheckpointDir: cfg.CheckpointDir,
 		Remote:        cfg.CollectAddr != "",
-		Columnar:      cfg.Columnar,
 		Obs:           cfg.Obs,
 		Tracer:        cfg.Trace,
 	}, s.Store)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -14,26 +13,26 @@ import (
 	"repro/internal/collect"
 	"repro/internal/colstore"
 	"repro/internal/snapshot"
-	"repro/internal/tracefmt"
 )
 
 // A checkpoint is one completed shard on disk: a small JSON header
 // (machine identity, fingerprint, record count, process-name dimension),
-// the machine's finalized compressed trace stream verbatim, and its
-// snapshots. The stream bytes are stored exactly as the collect.Store
-// holds them, so restore is an import, not a re-compression — the
-// byte-identical-store invariant survives kill/resume.
+// the machine's finalized compressed trace stream verbatim, its
+// snapshots and its colstore segment. The stream bytes are stored
+// exactly as the collect.Store holds them, so restore is an import, not
+// a re-compression — the byte-identical-store invariant survives
+// kill/resume — and the segment lets a resumed study save its corpus
+// without re-encoding.
 //
 // Layout: magic, then little-endian length-prefixed sections
 //
 //	"FSFLEET2" | u32 len + header JSON | u64 len + stream | u32 snapCount
 //	| per snapshot: u64 len + snapshot.Encode bytes
-//	| optional: u64 len + columnar segment (Config.Columnar)
+//	| u64 len + colstore segment
 //
-// The columnar section is optional: with Columnar off the file ends
-// after the snapshots, and loaders treat the absent section as "no
-// segment". The row stream stays verbatim either way, preserving the
-// byte-identical-store invariant.
+// The writer always adds the segment section. Loaders still accept a
+// file that ends after the snapshots (written before segments were
+// always carried) and treat it as "no segment".
 //
 // Files are written to <name>.ckpt.tmp and renamed into place, so a kill
 // mid-write leaves no valid-looking partial checkpoint; loaders treat any
@@ -69,25 +68,24 @@ func (e *Engine) writeCheckpoint(sh *shard) error {
 	if err != nil && !errors.Is(err, collect.ErrNoRecords) {
 		return err
 	}
-	ck := &checkpoint{
+	// A machine with no records gets an empty segment.
+	recs, err := e.store.Records(sh.spec.Name)
+	if err != nil && !errors.Is(err, collect.ErrNoRecords) {
+		return err
+	}
+	seg, _, err := colstore.EncodeSegment(recs, colstore.Options{Metrics: e.colM})
+	if err != nil {
+		return fmt.Errorf("fleet: checkpoint segment %q: %w", sh.spec.Name, err)
+	}
+	data, err := encodeCheckpoint(&checkpoint{
 		Name:        sh.spec.Name,
 		Fingerprint: sh.spec.Fingerprint,
 		Records:     count,
 		ProcNames:   sh.procNames,
 		Stream:      stream,
 		Snapshots:   sh.snaps,
-	}
-	if e.cfg.Columnar {
-		recs, err := decodeForColumnar(stream, count)
-		if err != nil {
-			return err
-		}
-		ck.Segment, _, err = colstore.EncodeSegment(recs, colstore.Options{Metrics: e.colM})
-		if err != nil {
-			return fmt.Errorf("fleet: columnar checkpoint %q: %w", sh.spec.Name, err)
-		}
-	}
-	data, err := encodeCheckpoint(ck)
+		Segment:     seg,
+	})
 	if err != nil {
 		return err
 	}
@@ -103,7 +101,7 @@ func (e *Engine) writeCheckpoint(sh *shard) error {
 }
 
 // encodeCheckpoint lays ck out in the checkpoint format; a nil Segment
-// writes no columnar section.
+// writes no segment section.
 func encodeCheckpoint(ck *checkpoint) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(ckptMagic)
@@ -150,7 +148,7 @@ func loadCheckpoint(path, fingerprint string) (*checkpoint, error) {
 
 // decodeCheckpoint parses checkpoint bytes, failing closed: every length
 // is bounded by the bytes that remain before anything is allocated, and
-// the snapshots and columnar segment are validated by their own decoders.
+// the snapshots and segment are validated by their own decoders.
 func decodeCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 	r := bytes.NewReader(data)
 	magic := make([]byte, len(ckptMagic))
@@ -215,14 +213,14 @@ func decodeCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 		}
 		ck.Snapshots = append(ck.Snapshots, snap)
 	}
-	// Optional columnar section.
+	// Segment section, absent from older checkpoints.
 	if r.Len() > 0 {
 		var segLen uint64
 		if err := binary.Read(r, binary.LittleEndian, &segLen); err != nil {
 			return nil, err
 		}
 		if segLen != uint64(r.Len()) {
-			return nil, fmt.Errorf("columnar section length %d != %d remaining bytes", segLen, r.Len())
+			return nil, fmt.Errorf("segment section length %d != %d remaining bytes", segLen, r.Len())
 		}
 		seg := make([]byte, segLen)
 		if _, err := io.ReadFull(r, seg); err != nil {
@@ -232,31 +230,12 @@ func decodeCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 		// the count must also match the row stream's.
 		opened, err := colstore.OpenSegment(seg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("columnar section: %w", err)
+			return nil, fmt.Errorf("segment section: %w", err)
 		}
 		if opened.Records() != h.Records {
-			return nil, fmt.Errorf("columnar section holds %d records, header says %d", opened.Records(), h.Records)
+			return nil, fmt.Errorf("segment section holds %d records, header says %d", opened.Records(), h.Records)
 		}
 		ck.Segment = seg
 	}
 	return ck, nil
-}
-
-// decodeForColumnar materializes a checkpointed row stream's records for
-// columnar encoding. An empty stream (machine with no records) yields no
-// records and, upstream, an empty segment.
-func decodeForColumnar(stream []byte, count int) ([]tracefmt.Record, error) {
-	if len(stream) == 0 {
-		return nil, nil
-	}
-	zr := flate.NewReader(bytes.NewReader(stream))
-	defer zr.Close()
-	rd := tracefmt.NewReader(zr)
-	recs := make([]tracefmt.Record, count)
-	for i := range recs {
-		if err := rd.ReadInto(&recs[i]); err != nil {
-			return nil, fmt.Errorf("fleet: columnar encode: record %d of %d: %w", i, count, err)
-		}
-	}
-	return recs, nil
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // sampleCheckpoint builds a checkpoint with every section present: a
-// header, an (opaque) stream, one snapshot and a columnar segment.
+// header, an (opaque) stream, one snapshot and a segment.
 func sampleCheckpoint(tb testing.TB) *checkpoint {
 	tb.Helper()
 	recs := make([]tracefmt.Record, 40)
@@ -72,9 +72,28 @@ func TestCheckpointRejectsOldMagic(t *testing.T) {
 	}
 }
 
+// TestCheckpointWithoutSegment: a checkpoint that ends after its
+// snapshots (written before every checkpoint carried a segment) still
+// decodes, with no segment to reuse.
+func TestCheckpointWithoutSegment(t *testing.T) {
+	ck := sampleCheckpoint(t)
+	ck.Segment = nil
+	data, err := encodeCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeCheckpoint(data, "fp")
+	if err != nil {
+		t.Fatalf("checkpoint without a segment section rejected: %v", err)
+	}
+	if got.Segment != nil || got.Records != ck.Records || len(got.Snapshots) != 1 {
+		t.Fatalf("decoded %d records, %d snapshots, segment %v", got.Records, len(got.Snapshots), got.Segment != nil)
+	}
+}
+
 // FuzzLoadCheckpoint: any input either fails to decode or yields a
-// checkpoint whose snapshots resolve and whose columnar segment (when
-// present) opens and holds the header's record count.
+// checkpoint whose snapshots resolve and whose segment (when present)
+// opens and holds the header's record count.
 func FuzzLoadCheckpoint(f *testing.F) {
 	ck := sampleCheckpoint(f)
 	full, err := encodeCheckpoint(ck)
@@ -82,12 +101,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	ck.Segment = nil
-	rowOnly, err := encodeCheckpoint(ck)
+	noSegment, err := encodeCheckpoint(ck)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full)
-	f.Add(rowOnly)
+	f.Add(noSegment)
 	f.Add(full[:len(full)/2])
 	f.Add(binary.LittleEndian.AppendUint32([]byte(ckptMagic), 0xffffffff))
 	f.Fuzz(func(t *testing.T, data []byte) {

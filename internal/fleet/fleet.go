@@ -87,12 +87,6 @@ type Config struct {
 	// via CountRecords, the local store is neither finalized nor
 	// checkpointed (the server owns the corpus), and Restore is refused.
 	Remote bool
-	// Columnar additionally encodes each completed shard's trace stream
-	// as a colstore segment inside its checkpoint, so a resumed study can
-	// reuse the columnar corpus without re-encoding. The row stream is
-	// still checkpointed verbatim — the byte-identical-store invariant is
-	// unchanged; the segment is a derived, digest-verified view.
-	Columnar bool
 	// Obs, when set, exports the per-shard progress gauges as
 	// shard-labeled series and the fleet aggregates as derived gauges
 	// refreshed on every gather. The gauges exist either way — they ARE
@@ -147,9 +141,9 @@ type Restored struct {
 	Records   int
 	ProcNames map[uint32]string
 	Snapshots []*snapshot.Snapshot
-	// Segment is the shard's columnar trace segment when the checkpoint
-	// was written with Config.Columnar (nil otherwise): already validated
-	// to open cleanly, reusable without re-encoding the row stream.
+	// Segment is the shard's colstore segment (nil for a checkpoint
+	// written without one): already validated to open cleanly, reusable
+	// without re-encoding the stream.
 	Segment []byte
 }
 

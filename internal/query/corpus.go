@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
-	"repro/internal/tracefmt"
 )
 
 // cacheKey is a result identity: SHA-256 over corpus SHA ‖ canonical
@@ -35,30 +34,27 @@ import (
 type cacheKey [sha256.Size]byte
 
 // Corpus is a loaded corpus directory pinned in memory for serving:
-// the columnar segments (pushdown scans), the row streams for machines
-// saved without a segment (scan fallback), the analysis DataSet (report
+// the colstore segments (pushdown scans), the analysis DataSet (report
 // artifacts) and the corpus identity digest that scopes every cache key.
 type Corpus struct {
 	Dir string
 	// SHA identifies the corpus content: a digest over the sorted
-	// (machine name, logical record-stream SHA-256) pairs. The row and
-	// columnar forms of the same corpus digest identically, because the
-	// colstore footer SHA is defined over the logical record stream.
+	// (machine name, segment footer SHA-256) pairs. A footer SHA is
+	// defined over the machine's logical record stream, so it does not
+	// depend on how the segment's blocks were laid out.
 	SHA [sha256.Size]byte
 
 	machines []string // sorted true machine names
 	segs     map[string]*colstore.Segment
-	rows     map[string][]tracefmt.Record // stream-order fallback records
 	ds       *analysis.DataSet
 	snaps    int
 	parts    *core.Corpus
 }
 
-// OpenCorpusTrace loads dir exactly once — columnar segments preferred,
-// row streams as fallback — and computes the corpus identity. The
-// registry (nil ok) receives colstore pushdown-ledger metrics for every
-// scan the service runs later; tr (nil ok) records per-machine load
-// spans and never alters what loads.
+// OpenCorpusTrace loads dir exactly once and computes the corpus
+// identity. The registry (nil ok) receives colstore pushdown-ledger
+// metrics for every scan the service runs later; tr (nil ok) records
+// per-machine load spans and never alters what loads.
 func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, error) {
 	parts, err := core.LoadCorpusTrace(dir, reg, tr)
 	if err != nil {
@@ -67,7 +63,6 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	c := &Corpus{
 		Dir:   dir,
 		segs:  parts.Segments,
-		rows:  map[string][]tracefmt.Record{},
 		ds:    parts.DS,
 		snaps: len(parts.Snaps),
 		parts: parts,
@@ -77,33 +72,12 @@ func OpenCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 	}
 	sort.Strings(c.machines)
 	if len(c.machines) == 0 {
-		return nil, fmt.Errorf("query: %s holds no trace streams", dir)
-	}
-
-	// Row-fallback machines keep their stream-order records resident:
-	// scans over them must visit rows in the same order a columnar
-	// segment of the same stream would.
-	for _, name := range parts.Store.Machines() {
-		if c.segs[name] != nil {
-			continue
-		}
-		recs, err := parts.Store.Records(name)
-		if err != nil {
-			return nil, fmt.Errorf("query: %s: %w", name, err)
-		}
-		c.rows[name] = recs
+		return nil, fmt.Errorf("query: %s holds no trace segments", dir)
 	}
 
 	h := sha256.New()
 	for _, name := range c.machines {
-		var sum [sha256.Size]byte
-		if seg := c.segs[name]; seg != nil {
-			sum = seg.SHA256()
-		} else if recs, ok := c.rows[name]; ok {
-			sum = colstore.RowStreamSHA(recs)
-		} else {
-			return nil, fmt.Errorf("query: machine %q has neither segment nor row stream", name)
-		}
+		sum := c.segs[name].SHA256()
 		h.Write([]byte(name))
 		h.Write([]byte{0})
 		h.Write(sum[:])
@@ -118,16 +92,12 @@ func (c *Corpus) SHAHex() string { return hex.EncodeToString(c.SHA[:]) }
 // Machines lists the sorted true machine names.
 func (c *Corpus) Machines() []string { return c.machines }
 
-// Columnar reports whether the machine is served by a colstore segment
-// (true) or the row-stream fallback (false).
-func (c *Corpus) Columnar(name string) bool { return c.segs[name] != nil }
-
-// Records reports the record count of one machine.
+// Records reports the record count of one machine (0 if unknown).
 func (c *Corpus) Records(name string) int {
 	if seg := c.segs[name]; seg != nil {
 		return seg.Records()
 	}
-	return len(c.rows[name])
+	return 0
 }
 
 // TotalRecords sums record counts across the corpus.
@@ -145,21 +115,13 @@ func (c *Corpus) DataSet() *analysis.DataSet { return c.ds }
 // Parts exposes the underlying storage layers.
 func (c *Corpus) Parts() *core.Corpus { return c.parts }
 
-// ScanMachine runs one machine's scan: pushdown through the colstore
-// engine when a segment exists, the same predicate and projection filled
-// from the resident records otherwise. Both paths produce rows in stream
-// order, so the same corpus answers identically from either layout. The
-// stats are the scan's own block ledger (zero for the row fallback,
-// which has no blocks to skip).
+// ScanMachine runs one machine's pushdown scan through the colstore
+// engine, returning rows in stream order and the scan's own block
+// ledger.
 func (c *Corpus) ScanMachine(name string, p colstore.Predicate, cols colstore.ColumnSet) (*colstore.Batch, colstore.ScanStats, error) {
-	if seg := c.segs[name]; seg != nil {
-		return seg.ScanColumnsStats(p, cols)
-	}
-	recs, ok := c.rows[name]
-	if !ok {
+	seg := c.segs[name]
+	if seg == nil {
 		return nil, colstore.ScanStats{}, fmt.Errorf("%w for machine %q", collect.ErrNoRecords, name)
 	}
-	b := &colstore.Batch{}
-	b.AppendRecords(recs, p, cols)
-	return b, colstore.ScanStats{}, nil
+	return seg.ScanColumnsStats(p, cols)
 }

@@ -3,6 +3,8 @@ package query
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,57 +18,43 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
 
-// testStudy builds one small fleet study, shared by every test in the
-// package, and saves it in both layouts: the columnar directory is the
-// primary fixture, the row directory proves layout equivalence.
+// corpusDir builds one small fleet study, shared by every test in the
+// package, saves it once and returns the corpus directory.
 var (
 	studyOnce sync.Once
-	colDir    string
-	rowDir    string
+	study     *core.Study
+	studyDir  string
 	studyErr  error
 )
 
-func corpusDirs(t *testing.T) (columnar, row string) {
+func corpusDir(t *testing.T) string {
 	t.Helper()
 	studyOnce.Do(func() {
-		s := core.NewStudy(core.Config{
+		study = core.NewStudy(core.Config{
 			Seed:        7,
 			Machines:    4,
 			Duration:    30 * sim.Minute,
 			WithNetwork: true,
-			Columnar:    true,
 		})
-		if studyErr = s.Run(); studyErr != nil {
+		if studyErr = study.Run(); studyErr != nil {
 			return
 		}
-		colDir, studyErr = saveAs(s, true)
-		if studyErr != nil {
+		if studyDir, studyErr = mkTempDir(); studyErr != nil {
 			return
 		}
-		rowDir, studyErr = saveAs(s, false)
+		studyErr = study.Save(studyDir)
 	})
 	if studyErr != nil {
 		t.Fatal(studyErr)
 	}
-	return colDir, rowDir
-}
-
-func saveAs(s *core.Study, columnar bool) (string, error) {
-	dir, err := mkTempDir()
-	if err != nil {
-		return "", err
-	}
-	s.Cfg.Columnar = columnar
-	if err := s.Save(dir); err != nil {
-		return "", err
-	}
-	return dir, nil
+	return studyDir
 }
 
 var tempSeq int
@@ -122,7 +110,7 @@ const scanPath = "/v1/scan?kinds=Read,Write,Create,Close&cols=kind,start,length,
 // worker count. The report artifact index is the report's section
 // registry, sorted.
 func TestQueryDeterministic(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	paths := []string{
 		scanPath,
 		"/v1/scan?limit=25",
@@ -174,40 +162,39 @@ func TestQueryDeterministic(t *testing.T) {
 	}
 }
 
-// TestRowColumnarEquivalent pins layout independence: the row and
-// columnar saves of one study share a corpus identity and answer scans
-// byte-identically, so cache keys survive a format conversion.
-func TestRowColumnarEquivalent(t *testing.T) {
-	cDir, rDir := corpusDirs(t)
-	cSvc, _ := newTestService(t, cDir, Config{Workers: 4})
-	rSvc, _ := newTestService(t, rDir, Config{Workers: 4})
-	if cSvc.Corpus().SHAHex() != rSvc.Corpus().SHAHex() {
-		t.Fatalf("corpus identity differs by layout: %s vs %s",
-			cSvc.Corpus().SHAHex(), rSvc.Corpus().SHAHex())
+// TestCorpusIdentity pins what the corpus identity digests: each
+// machine's name and the SHA-256 of its logical record stream, which the
+// loaded segment's footer must carry for the records the study
+// collected.
+func TestCorpusIdentity(t *testing.T) {
+	svc, _ := newTestService(t, corpusDir(t), Config{Workers: 4})
+	c := svc.Corpus()
+	if !slices.Equal(c.Machines(), study.Store.Machines()) {
+		t.Fatalf("corpus machines %v, study machines %v", c.Machines(), study.Store.Machines())
 	}
-	for _, m := range cSvc.Corpus().Machines() {
-		if !cSvc.Corpus().Columnar(m) {
-			t.Fatalf("%s: expected a columnar segment in the .fsc save", m)
+	h := sha256.New()
+	for _, m := range c.Machines() {
+		recs, err := study.Store.Records(m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if c.Records(m) != len(recs) {
+			t.Fatalf("%s: corpus holds %d records, study collected %d", m, c.Records(m), len(recs))
+		}
+		sum := colstore.RowStreamSHA(recs)
+		h.Write([]byte(m))
+		h.Write([]byte{0})
+		h.Write(sum[:])
 	}
-	for _, m := range rSvc.Corpus().Machines() {
-		if rSvc.Corpus().Columnar(m) {
-			t.Fatalf("%s: expected the row fallback in the .trz save", m)
-		}
-	}
-	for _, p := range []string{scanPath, "/v1/scan?limit=10&kinds=3,5"} {
-		_, _, cBody := get(t, cSvc.Handler(), p)
-		_, _, rBody := get(t, rSvc.Handler(), p)
-		if !bytes.Equal(cBody, rBody) {
-			t.Fatalf("%s: row scan differs from columnar scan\ncol: %s\nrow: %s", p, cBody, rBody)
-		}
+	if want := hex.EncodeToString(h.Sum(nil)); c.SHAHex() != want {
+		t.Fatalf("corpus identity %s, want %s from the study's records", c.SHAHex(), want)
 	}
 }
 
 // TestCanonicalization pins that equivalent request spellings share one
 // cache entry.
 func TestCanonicalization(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{})
 	c := svc.Corpus()
 	cases := [][2]string{
@@ -258,7 +245,7 @@ func kindNumber(t *testing.T, name string) int {
 // refusal path: over-limit requests get 429 + Retry-After immediately,
 // admitted requests complete once capacity frees up.
 func TestBackpressure429(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, reg := newTestService(t, dir, Config{MaxInflight: 1, MaxQueue: 1, Timeout: 10 * time.Second})
 	h := svc.Handler()
 
@@ -309,7 +296,7 @@ func TestBackpressure429(t *testing.T) {
 // TestRequestTimeout pins the deadline path: a request that cannot get
 // an execution slot within its deadline answers 504.
 func TestRequestTimeout(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, reg := newTestService(t, dir, Config{MaxInflight: 1, MaxQueue: 4, Timeout: 50 * time.Millisecond})
 	svc.slots <- struct{}{} // wedge the pool
 	start := time.Now()
@@ -328,7 +315,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestDrain pins graceful shutdown: Drain waits for admitted work and
 // flips subsequent requests to 503.
 func TestDrain(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{})
 	h := svc.Handler()
 	if code, _, _ := get(t, h, "/v1/machines"); code != http.StatusOK {
@@ -384,7 +371,7 @@ func TestCacheLRU(t *testing.T) {
 // TestScanLimit pins the truncation contract: matched counts the full
 // predicate hits, returned counts the projected rows.
 func TestScanLimit(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{})
 	_, _, full := get(t, svc.Handler(), "/v1/scan?cols=kind")
 	_, _, limited := get(t, svc.Handler(), "/v1/scan?cols=kind&limit=5")
@@ -418,7 +405,7 @@ func TestScanLimit(t *testing.T) {
 // tiny admission pool and checks both outcomes appear: successes and
 // 429 rejections, with no transport errors.
 func TestLoadGenerator(t *testing.T) {
-	dir, _ := corpusDirs(t)
+	dir := corpusDir(t)
 	svc, _ := newTestService(t, dir, Config{MaxInflight: 1, MaxQueue: 1, Workers: 2})
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())

@@ -317,9 +317,8 @@ type machinesBody struct {
 }
 
 type machineInfo struct {
-	Name     string `json:"name"`
-	Records  int    `json:"records"`
-	Columnar bool   `json:"columnar"`
+	Name    string `json:"name"`
+	Records int    `json:"records"`
 }
 
 func (s *Service) handleMachines(ctx context.Context, w http.ResponseWriter, r *http.Request, sp *trace.Span) {
@@ -333,9 +332,8 @@ func (s *Service) handleMachines(ctx context.Context, w http.ResponseWriter, r *
 	out := machinesBody{Corpus: s.corpus.SHAHex()}
 	for _, m := range s.corpus.Machines() {
 		out.Machines = append(out.Machines, machineInfo{
-			Name:     m,
-			Records:  s.corpus.Records(m),
-			Columnar: s.corpus.Columnar(m),
+			Name:    m,
+			Records: s.corpus.Records(m),
 		})
 	}
 	body, err := json.Marshal(out)

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # trace_smoke.sh — end-to-end check of the span tracing surface.
 #
-# Builds fsfleet and fsqueryd, generates a small columnar corpus, then
+# Builds fsfleet and fsqueryd, generates a small corpus, then
 # drives a traced scan and asserts the whole tracing contract: the
 # response carries X-Trace-Id, /debug/spans resolves that trace to a
 # span tree covering admission → cache → fan-out → merge → encode, and
@@ -21,7 +21,7 @@ go build -o "$WORK/fsfleet" ./cmd/fsfleet
 go build -o "$WORK/fsqueryd" ./cmd/fsqueryd
 
 "$WORK/fsfleet" -out "$WORK/traces" -machines 4 -hours 1 -seed 9 \
-  -format columnar -progress 0 >/dev/null
+  -progress 0 >/dev/null
 
 "$WORK/fsqueryd" -dir "$WORK/traces" -addr "127.0.0.1:$PORT" \
   -workers 2 -slow-ms 0 2>"$WORK/log" &
