@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/collect"
-	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -273,7 +272,7 @@ func runServer(addr, out string, reg *obs.Registry) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	srv := collect.Serve(ln, store, reg)
 	fmt.Fprintf(os.Stderr, "collection server listening on %s\n", ln.Addr())
 
@@ -290,7 +289,7 @@ func runServer(addr, out string, reg *obs.Registry) {
 	}
 	fmt.Fprintf(os.Stderr, "received %d records from %d machines\n",
 		store.TotalRecords(), len(store.Machines()))
-	if _, err := store.SaveColumnarDir(out, colstore.Options{}, nil); err != nil {
+	if _, err := store.SaveColumnarDir(out); err != nil {
 		log.Fatal(err)
 	}
 	if err := reg.WriteSnapshot(filepath.Join(out, "obs.json")); err != nil {

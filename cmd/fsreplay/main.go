@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/replay"
 )
@@ -67,7 +66,7 @@ func main() {
 	}
 
 	if *out != "" {
-		if _, err := res.Store.SaveColumnarDir(*out, colstore.Options{}, nil); err != nil {
+		if _, err := res.Store.SaveColumnarDir(*out); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("replayed corpus saved to %s\n", *out)

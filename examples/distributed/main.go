@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	srv := collect.Serve(ln, store, nil)
 	fmt.Printf("collection server listening on %s\n", srv.Addr())
 

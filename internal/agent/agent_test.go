@@ -172,7 +172,7 @@ func TestNetSinkEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	srv := collect.Serve(ln, store, nil)
 
 	m, a, _ := rig(t)

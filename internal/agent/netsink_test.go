@@ -33,7 +33,7 @@ func startCollect(t *testing.T) (*collect.Server, *collect.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	return collect.Serve(ln, store, nil), store
 }
 
@@ -56,7 +56,7 @@ func TestCollectFaultsNetSinkRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	baseline := collect.NewStore()
+	baseline := collect.NewStore(nil)
 	const buffers, per = 200, 50
 	for i := 0; i < buffers; i++ {
 		recs := nsRecs(per, uint64(i+1))

@@ -71,9 +71,6 @@ func (ix *MachineIndex) OfKind(k tracefmt.EventKind) []int32 {
 	return ix.kinds[k]
 }
 
-// KindCount reports how many records of kind k the stream holds.
-func (ix *MachineIndex) KindCount(k tracefmt.EventKind) int { return len(ix.OfKind(k)) }
-
 // Select merges the positions of several kinds into one ascending list —
 // the record subset a scan over those kinds visits, in the exact order
 // the full-stream scan would visit them. With a single populated kind

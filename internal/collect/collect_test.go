@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
@@ -31,7 +32,7 @@ func mkRecs(n int, fid uint64) []tracefmt.Record {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	if err := s.Append("m1", mkRecs(500, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 func TestStoreAppendAfterFinalize(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("m", mkRecs(10, 1))
 	s.Finalize()
 	if err := s.Append("m", mkRecs(10, 2)); err == nil {
@@ -80,7 +81,7 @@ func TestStoreAppendAfterFinalize(t *testing.T) {
 }
 
 func TestStoreRecordsBeforeFinalize(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("m", mkRecs(10, 1))
 	if _, err := s.Records("m"); err == nil {
 		t.Error("Records before finalize succeeded")
@@ -94,13 +95,13 @@ func TestStoreRecordsBeforeFinalize(t *testing.T) {
 // records intact.
 func TestStoreSaveLoadDir(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("alpha", mkRecs(250, 7))
 	s.Append("beta-2", mkRecs(50, 8))
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+	if _, err := s.SaveColumnarDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := LoadColumnarDir(dir, nil)
@@ -133,7 +134,7 @@ func TestSaveDirNameCollisions(t *testing.T) {
 	// "pool/01", "pool:01" and "pool_01" all flatten to "pool_01";
 	// SaveColumnarDir must keep all three segments instead of silently
 	// overwriting.
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("pool/01", mkRecs(10, 1))
 	s.Append("pool:01", mkRecs(20, 2))
 	s.Append("pool_01", mkRecs(30, 3))
@@ -144,7 +145,7 @@ func TestSaveDirNameCollisions(t *testing.T) {
 	// file names.
 	saveStems := func() []string {
 		dir := t.TempDir()
-		if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+		if _, err := s.SaveColumnarDir(dir); err != nil {
 			t.Fatal(err)
 		}
 		segs, err := LoadColumnarDir(dir, nil)
@@ -186,7 +187,7 @@ func TestNetworkTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore()
+	store := NewStore(nil)
 	srv := Serve(ln, store, nil)
 
 	c1, err := Dial(srv.Addr(), "node-01")
@@ -231,7 +232,7 @@ func TestServerRejectsBadMagic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore()
+	store := NewStore(nil)
 	srv := Serve(ln, store, nil)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -249,7 +250,7 @@ func TestServerRejectsBadMagic(t *testing.T) {
 }
 
 func TestRecordsNoRecordsSentinel(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("m", mkRecs(10, 1))
 	s.Finalize()
 	_, err := s.Records("ghost")
@@ -258,56 +259,130 @@ func TestRecordsNoRecordsSentinel(t *testing.T) {
 	}
 	// A state error (unfinalized stream) must NOT read as "no records":
 	// callers distinguish an empty machine from a broken store.
-	s2 := NewStore()
+	s2 := NewStore(nil)
 	s2.Append("m", mkRecs(10, 1))
 	if _, err := s2.Records("m"); err == nil || errors.Is(err, ErrNoRecords) {
 		t.Errorf("Records before finalize = %v, want a non-sentinel error", err)
 	}
 }
 
-func TestExportImportRoundTrip(t *testing.T) {
-	s := NewStore()
+// TestSegmentInstallRoundTrip: a machine's segment, installed into a
+// fresh store, gives back the same records, stream digest and segment
+// bytes; installing over an existing stream fails and a zero-record
+// segment installs nothing.
+func TestSegmentInstallRoundTrip(t *testing.T) {
+	s := NewStore(nil)
 	s.Append("m", mkRecs(400, 5))
 	s.Finalize()
-	data, count, err := s.ExportStream("m")
-	if err != nil || count != 400 {
-		t.Fatalf("ExportStream: count=%d err=%v", count, err)
+	seg, err := s.Segment("m")
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, err := s.StreamSum("m")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dst := NewStore()
-	if err := dst.ImportStream("m", data, count); err != nil {
-		t.Fatal(err)
+	dst := NewStore(nil)
+	n, err := dst.InstallSegment("m", seg)
+	if err != nil || n != 400 {
+		t.Fatalf("InstallSegment: %d records, err=%v", n, err)
 	}
 	if got, _ := dst.StreamSum("m"); got != want {
-		t.Error("imported stream hash differs")
+		t.Error("installed stream hash differs")
+	}
+	if got, err := dst.Segment("m"); err != nil || !bytes.Equal(got, seg) {
+		t.Errorf("installed segment differs (err=%v)", err)
 	}
 	recs, err := dst.Records("m")
 	if err != nil || len(recs) != 400 {
-		t.Fatalf("imported records: %d, err=%v", len(recs), err)
+		t.Fatalf("installed records: %d, err=%v", len(recs), err)
 	}
 	if recs[0].FileID != 5 {
-		t.Error("imported record corrupt")
+		t.Error("installed record corrupt")
 	}
-	if err := dst.ImportStream("m", data, count); err == nil {
-		t.Error("import over an existing stream succeeded")
+	if _, err := dst.InstallSegment("m", seg); err == nil {
+		t.Error("install over an existing stream succeeded")
 	}
-	if err := dst.ImportStream("empty", nil, 0); err != nil {
-		t.Errorf("empty import: %v", err)
+	empty, _, err := colstore.EncodeSegment(nil, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dst.RecordCount("empty") != 0 {
-		t.Error("empty import created a stream")
+	if n, err := dst.InstallSegment("empty", empty); err != nil || n != 0 {
+		t.Errorf("empty install: %d records, err=%v", n, err)
 	}
-	if _, _, err := NewStore().ExportStream("m"); !errors.Is(err, ErrNoRecords) {
-		t.Errorf("ExportStream of unknown machine = %v, want ErrNoRecords", err)
+	if dst.RecordCount("empty") != 0 || len(dst.Machines()) != 1 {
+		t.Error("empty install created a stream")
+	}
+	if _, err := dst.InstallSegment("junk", seg[:len(seg)/2]); err == nil {
+		t.Error("installed a truncated segment")
+	}
+	if _, err := NewStore(nil).Segment("m"); !errors.Is(err, ErrNoRecords) {
+		t.Errorf("Segment of unknown machine = %v, want ErrNoRecords", err)
+	}
+}
+
+// TestStreamRebuiltFromSegment pins the property resume rests on: the
+// DEFLATE stream depends only on the record bytes, not on how Append
+// calls split them, so a stream built from many uneven appends equals
+// one rebuilt from its segment's records in a single call, and one
+// rebuilt by InstallSegment block by block.
+func TestStreamRebuiltFromSegment(t *testing.T) {
+	const total = 20000
+	var recs []tracefmt.Record
+	for i := 0; len(recs) < total; i++ {
+		recs = append(recs, mkRecs(1+(i*7919)%613, uint64(i))...)
+	}
+	recs = recs[:total]
+	src := NewStore(nil)
+	for i, n := 0, 1; i < len(recs); i, n = i+n, 1+(n*31+17)%997 {
+		if err := src.Append("m", recs[i:min(i+n, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.StreamSum("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.Segment("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := colstore.OpenSegment(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := seg.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := NewStore(nil)
+	if err := once.Append("m", all); err != nil {
+		t.Fatal(err)
+	}
+	if err := once.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := once.StreamSum("m"); got != want {
+		t.Error("stream rebuilt in one Append differs from the uneven-append original")
+	}
+	installed := NewStore(nil)
+	if _, err := installed.InstallSegment("m", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := installed.StreamSum("m"); got != want {
+		t.Error("stream rebuilt by InstallSegment differs from the uneven-append original")
+	}
+	if src.CompressedBytes() != installed.CompressedBytes() {
+		t.Errorf("compressed bytes %d after install, want %d", installed.CompressedBytes(), src.CompressedBytes())
 	}
 }
 
 func TestFinalizeMachine(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("a", mkRecs(20, 1))
 	s.Append("b", mkRecs(30, 2))
 	if err := s.FinalizeMachine("a"); err != nil {
@@ -349,7 +424,7 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 		"lab\\win\\nt-07": 40, // backslashes rewritten
 		"plain-node":      50, // untouched by SafeName
 	}
-	s := NewStore()
+	s := NewStore(nil)
 	fid := uint64(1)
 	for name, n := range names {
 		if err := s.Append(name, mkRecs(n, fid)); err != nil {
@@ -365,7 +440,7 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 	// the row layout ran beside it.
 	t.Run("columnar", func(t *testing.T) {
 		dir := t.TempDir()
-		if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+		if _, err := s.SaveColumnarDir(dir); err != nil {
 			t.Fatal(err)
 		}
 		segs, err := LoadColumnarDir(dir, nil)
@@ -393,12 +468,12 @@ func TestSaveLoadDirExactNames(t *testing.T) {
 // silently stem-named machine.
 func TestLoadDirManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("alpha", mkRecs(5, 1))
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+	if _, err := s.SaveColumnarDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	// A stray segment from some other corpus appears in the directory.
@@ -414,16 +489,38 @@ func TestLoadDirManifestMismatch(t *testing.T) {
 	}
 }
 
+// TestLoadDirManifestDuplicateName: a manifest that maps two segment
+// files to one machine name fails the load instead of letting the second
+// segment replace the first.
+func TestLoadDirManifestDuplicateName(t *testing.T) {
+	dir := t.TempDir()
+	s := NewStore(nil)
+	s.Append("a", mkRecs(5, 1))
+	s.Append("b", mkRecs(7, 2))
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SaveColumnarDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, StemManifestName), []byte(`{"stems":{"a":"x","b":"x"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadColumnarDir(dir, nil); !errors.Is(err, ErrManifestMismatch) {
+		t.Errorf("LoadColumnarDir with a twice-named machine: err = %v, want ErrManifestMismatch", err)
+	}
+}
+
 // TestLoadDirLegacyNoManifest pins backward compatibility: a corpus
 // saved before the stem manifest existed loads with stem names.
 func TestLoadDirLegacyNoManifest(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("node/a", mkRecs(5, 1))
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+	if _, err := s.SaveColumnarDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, StemManifestName)); err != nil {
@@ -443,12 +540,12 @@ func TestLoadDirLegacyNoManifest(t *testing.T) {
 // segments.
 func TestLoadDirRejectsRowStreams(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStore(nil)
 	s.Append("alpha", mkRecs(5, 1))
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SaveColumnarDir(dir, colstore.Options{}, nil); err != nil {
+	if _, err := s.SaveColumnarDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "alpha.trz"), nil, 0o644); err != nil {

@@ -18,41 +18,24 @@ const ColumnarExt = ".fsc"
 // one rather than loading it as an empty or partial corpus.
 const rowExt = ".trz"
 
-// SaveColumnarDir writes each finalized machine stream as a columnar
-// segment <dir>/<stem>.fsc, with the stem → machine assignment recorded
-// in StemManifestName. prebuilt (may be nil) supplies already-encoded
-// segments keyed by machine name — the fleet engine's checkpointed
-// segments — which are written verbatim instead of re-encoding the
-// stream. It returns the per-machine summaries; each summary's SHA-256
-// equals colstore.RowStreamSHA of the machine's records, so callers can
-// check a segment against its stream without re-reading files.
-func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[string][]byte) (map[string]colstore.Summary, error) {
+// SaveColumnarDir writes each finalized machine's segment (Segment) as
+// <dir>/<stem>.fsc, with the stem → machine assignment recorded in
+// StemManifestName. It returns the per-machine summaries; each summary's
+// SHA-256 equals colstore.RowStreamSHA of the machine's records, so
+// callers can check a segment against its stream without re-reading
+// files.
+func (s *Store) SaveColumnarDir(dir string) (map[string]colstore.Summary, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	sums := make(map[string]colstore.Summary)
 	stems := s.fileStems()
 	for _, mf := range stems {
-		var data []byte
-		var sum colstore.Summary
-		if pre := prebuilt[mf.machine]; pre != nil {
-			seg, err := colstore.OpenSegment(pre, nil)
-			if err != nil {
-				return nil, fmt.Errorf("collect: prebuilt segment %q: %w", mf.machine, err)
-			}
-			data = pre
-			sum = colstore.Summary{Records: seg.Records(), Blocks: seg.Blocks(), Bytes: seg.Bytes(), SHA: seg.SHA256()}
-		} else {
-			recs, err := s.Records(mf.machine)
-			if err != nil {
-				return nil, err
-			}
-			if data, sum, err = colstore.EncodeSegment(recs, opts); err != nil {
-				return nil, fmt.Errorf("collect: encode %q columnar: %w", mf.machine, err)
-			}
+		data, sum, err := s.segment(mf.machine)
+		if err != nil {
+			return nil, err
 		}
-		path := filepath.Join(dir, mf.stem+ColumnarExt)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, mf.stem+ColumnarExt), data, 0o644); err != nil {
 			return nil, err
 		}
 		sums[mf.machine] = sum
@@ -67,7 +50,8 @@ func (s *Store) SaveColumnarDir(dir string, opts colstore.Options, prebuilt map[
 // machine name: the stem manifest written at save time resolves
 // SafeName-rewritten and collision-suffixed stems back to the names the
 // streams were collected under, and a corpus without a manifest keeps
-// the file stems. A *.trz row stream in dir fails the load. Metrics m
+// the file stems. A *.trz row stream in dir fails the load, and so does
+// a manifest that names one machine for two segments. Metrics m
 // may be nil; when set, every opened segment reports scans against it.
 func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segment, error) {
 	entries, err := os.ReadDir(dir)
@@ -99,6 +83,9 @@ func LoadColumnarDir(dir string, m *colstore.Metrics) (map[string]*colstore.Segm
 		name, err := machineForStem(stems, strings.TrimSuffix(e.Name(), ColumnarExt), e.Name())
 		if err != nil {
 			return nil, err
+		}
+		if _, dup := segs[name]; dup {
+			return nil, fmt.Errorf("%w: %s names machine %q for more than one segment", ErrManifestMismatch, StemManifestName, name)
 		}
 		segs[name] = seg
 	}

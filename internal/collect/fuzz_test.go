@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/tracefmt"
@@ -134,7 +136,7 @@ func FuzzServerHandle(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		want := modelHandle(raw)
-		s := &Server{store: NewStore(), seen: map[string]uint64{}, m: newServerMetrics(nil)}
+		s := &Server{store: NewStore(nil), seen: map[string]uint64{}, m: newServerMetrics(nil)}
 		srvEnd, agentEnd := net.Pipe()
 		drained := make(chan []byte)
 		go func() {
@@ -194,6 +196,59 @@ func FuzzServerHandle(f *testing.F) {
 			if got[i] != want.recs[i] {
 				t.Fatalf("stored record %d differs from the frame's", i)
 			}
+		}
+	})
+}
+
+// FuzzLoadColumnarDir feeds arbitrary bytes to LoadColumnarDir as the
+// stem manifest of a directory holding two small segments, a.fsc (5
+// records) and b.fsc (7 records). Every input either fails the load or
+// yields exactly two machines, one per segment file, so no manifest can
+// drop, merge or invent a machine.
+func FuzzLoadColumnarDir(f *testing.F) {
+	src := NewStore(nil)
+	src.Append("a", mkRecs(5, 1))
+	src.Append("b", mkRecs(7, 2))
+	if err := src.Finalize(); err != nil {
+		f.Fatal(err)
+	}
+	segs := map[string][]byte{}
+	for _, m := range []string{"a", "b"} {
+		seg, err := src.Segment(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		segs[m+ColumnarExt] = seg
+	}
+	f.Add([]byte(`{"version":1,"stems":{"a":"a","b":"b"}}`))
+	f.Add([]byte(`{"version":1,"stems":{"a":"pool/01","b":"pool:01"}}`))
+	f.Add([]byte(`{"stems":{"a":"x","b":"x"}}`))
+	f.Add([]byte(`{"stems":{"a":"a"}}`))
+	f.Add([]byte(`{"stems":null}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		dir := t.TempDir()
+		for name, data := range segs {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, StemManifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadColumnarDir(dir, nil)
+		if err != nil {
+			return
+		}
+		if len(got) != 2 {
+			t.Fatalf("loaded %d machines from two segment files", len(got))
+		}
+		counts := map[int]bool{}
+		for _, seg := range got {
+			counts[seg.Records()] = true
+		}
+		if !counts[5] || !counts[7] {
+			t.Fatalf("loaded segments hold %v records, want one of 5 and one of 7", counts)
 		}
 	})
 }

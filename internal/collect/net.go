@@ -167,10 +167,6 @@ func (s *Server) lastSeq(machine string) uint64 {
 	return s.seen[machine]
 }
 
-// LastSeq reports the highest frame sequence stored for a machine — the
-// value acked at handshake, after every frame, and at clean close.
-func (s *Server) LastSeq(machine string) uint64 { return s.lastSeq(machine) }
-
 func writeAck(w io.Writer, last uint64) error {
 	var buf [ackSize]byte
 	copy(buf[:4], ackMagic)

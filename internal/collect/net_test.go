@@ -19,7 +19,7 @@ func startServer(t *testing.T) (*Server, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore()
+	store := NewStore(nil)
 	return Serve(ln, store, nil), store
 }
 

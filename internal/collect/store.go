@@ -2,8 +2,9 @@
 // receive event streams from the per-machine trace agents and store them
 // in a compressed format for later retrieval by the analysis. A Store is
 // the compressed repository (DEFLATE per machine stream, as the paper's
-// servers "store them in compressed formats"); Server/Client add the
-// network path the agents used.
+// servers "store them in compressed formats", plus each finalized
+// machine's colstore segment, encoded once on first request);
+// Server/Client add the network path the agents used.
 package collect
 
 import (
@@ -20,6 +21,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/colstore"
 	"repro/internal/tracefmt"
 )
 
@@ -43,6 +45,7 @@ var ErrCountMismatch = errors.New("collect: record count mismatch")
 type Store struct {
 	mu      sync.Mutex
 	streams map[string]*stream
+	colM    *colstore.Metrics
 }
 
 type stream struct {
@@ -51,11 +54,27 @@ type stream struct {
 	zw     *flate.Writer
 	count  int
 	closed bool
+	// seg is the machine's colstore segment once Segment (or
+	// InstallSegment) has produced it; segSum describes it.
+	seg    []byte
+	segSum colstore.Summary
 }
 
-// NewStore creates an empty repository.
-func NewStore() *Store {
-	return &Store{streams: map[string]*stream{}}
+// NewStore creates an empty repository. Metrics m (may be nil) count the
+// colstore segments the Store encodes.
+func NewStore(m *colstore.Metrics) *Store {
+	return &Store{streams: map[string]*stream{}, colM: m}
+}
+
+// newStream starts an empty DEFLATE stream.
+func newStream() (*stream, error) {
+	st := &stream{}
+	zw, err := flate.NewWriter(&st.buf, flate.BestSpeed)
+	if err != nil {
+		return nil, err
+	}
+	st.zw = zw
+	return st, nil
 }
 
 // get returns the named stream, creating it when create is set.
@@ -64,12 +83,10 @@ func (s *Store) get(machine string, create bool) (*stream, error) {
 	defer s.mu.Unlock()
 	st := s.streams[machine]
 	if st == nil && create {
-		st = &stream{}
-		zw, err := flate.NewWriter(&st.buf, flate.BestSpeed)
-		if err != nil {
+		var err error
+		if st, err = newStream(); err != nil {
 			return nil, err
 		}
-		st.zw = zw
 		s.streams[machine] = st
 	}
 	return st, nil
@@ -127,7 +144,7 @@ func (s *Store) Finalize() error {
 }
 
 // FinalizeMachine seals one machine's stream so it can be read, hashed or
-// exported while other shards are still appending to theirs. Finalizing a
+// encoded while other shards are still appending to theirs. Finalizing a
 // machine with no stream is a no-op.
 func (s *Store) FinalizeMachine(machine string) error {
 	st, _ := s.get(machine, false)
@@ -199,9 +216,9 @@ func (s *Store) CompressedBytes() int64 {
 // any other error is a state or decode failure.
 func (s *Store) Records(machine string) ([]tracefmt.Record, error) {
 	var recs []tracefmt.Record
-	err := s.decode(machine, func(data []byte, count int) error {
-		recs = make([]tracefmt.Record, count)
-		return decodeStream(data, count, recs, func([]tracefmt.Record) {})
+	err := s.finalized(machine, func(st *stream) error {
+		recs = make([]tracefmt.Record, st.count)
+		return decodeStream(st.buf.Bytes(), st.count, recs, func([]tracefmt.Record) {})
 	})
 	if err != nil {
 		return nil, err
@@ -215,17 +232,19 @@ func (s *Store) Records(machine string) ([]tracefmt.Record, error) {
 // the whole decoded stream. fn must not keep the chunk: its backing
 // array is reused.
 func (s *Store) ReadChunks(machine string, fn func([]tracefmt.Record)) error {
-	return s.decode(machine, func(data []byte, count int) error {
-		return decodeStream(data, count, make([]tracefmt.Record, min(count, chunkRecords)), fn)
-	})
+	return s.finalized(machine, func(st *stream) error { return st.readChunks(fn) })
 }
 
 // chunkRecords is ReadChunks' chunk length (~640 KB of records).
 const chunkRecords = 4096
 
-// decode runs dec over one machine's finalized compressed stream under
-// the stream lock. A machine with no stream yields ErrNoRecords.
-func (s *Store) decode(machine string, dec func(data []byte, count int) error) error {
+func (st *stream) readChunks(fn func([]tracefmt.Record)) error {
+	return decodeStream(st.buf.Bytes(), st.count, make([]tracefmt.Record, min(st.count, chunkRecords)), fn)
+}
+
+// finalized runs fn over one machine's finalized stream under the stream
+// lock. A machine with no stream yields ErrNoRecords.
+func (s *Store) finalized(machine string, fn func(st *stream) error) error {
 	st, _ := s.get(machine, false)
 	if st == nil {
 		return fmt.Errorf("%w for machine %q", ErrNoRecords, machine)
@@ -235,7 +254,7 @@ func (s *Store) decode(machine string, dec func(data []byte, count int) error) e
 	if !st.closed {
 		return fmt.Errorf("collect: stream %q not finalized", machine)
 	}
-	return dec(st.buf.Bytes(), st.count)
+	return fn(st)
 }
 
 // flatePool and readerPool recycle the DEFLATE state (~40 KB of window
@@ -291,64 +310,118 @@ func decodeStream(data []byte, count int, buf []tracefmt.Record, fn func([]trace
 	return zr.Close()
 }
 
-// ExportStream copies out one machine's finalized compressed stream and
-// its record count — the unit the fleet engine checkpoints.
-func (s *Store) ExportStream(machine string) ([]byte, int, error) {
-	st, _ := s.get(machine, false)
-	if st == nil {
-		return nil, 0, fmt.Errorf("%w for machine %q", ErrNoRecords, machine)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.closed {
-		return nil, 0, fmt.Errorf("collect: stream %q not finalized", machine)
-	}
-	out := make([]byte, st.buf.Len())
-	copy(out, st.buf.Bytes())
-	return out, st.count, nil
-}
-
-// ImportStream installs a finalized compressed stream under the machine's
-// name — the resume path of the fleet engine. Importing over an existing
-// stream fails; importing an empty stream is a no-op (the machine simply
-// has no records, matching a fresh run that produced none).
-func (s *Store) ImportStream(machine string, data []byte, count int) error {
-	if len(data) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.streams[machine]; ok {
-		return fmt.Errorf("collect: import: stream %q already exists", machine)
-	}
-	st := &stream{closed: true, count: count}
-	st.buf.Write(data)
-	s.streams[machine] = st
-	return nil
-}
-
 // StreamSum returns the SHA-256 of one machine's finalized compressed
 // stream. Equal sums mean byte-identical stored streams — the invariant
 // the fleet engine maintains across worker counts and resume.
 func (s *Store) StreamSum(machine string) ([sha256.Size]byte, error) {
-	data, _, err := s.ExportStream(machine)
-	if err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	return sha256.Sum256(data), nil
+	var sum [sha256.Size]byte
+	err := s.finalized(machine, func(st *stream) error {
+		sum = sha256.Sum256(st.buf.Bytes())
+		return nil
+	})
+	return sum, err
 }
 
-// AllRecords returns every machine's records keyed by machine name.
-func (s *Store) AllRecords() (map[string][]tracefmt.Record, error) {
-	out := map[string][]tracefmt.Record{}
-	for _, m := range s.Machines() {
-		recs, err := s.Records(m)
-		if err != nil {
-			return nil, err
+// Segment returns one machine's finalized trace as a colstore segment.
+// The first call encodes it, streaming the DEFLATE stream's records into
+// a colstore.Writer a chunk at a time; the Store keeps the bytes, so a
+// checkpoint and a later save share one encode. The caller must not
+// modify the returned slice. A machine with no stream yields
+// ErrNoRecords.
+func (s *Store) Segment(machine string) ([]byte, error) {
+	seg, _, err := s.segment(machine)
+	return seg, err
+}
+
+func (s *Store) segment(machine string) ([]byte, colstore.Summary, error) {
+	var (
+		seg []byte
+		sum colstore.Summary
+	)
+	err := s.finalized(machine, func(st *stream) error {
+		if st.seg == nil {
+			var buf bytes.Buffer
+			buf.Grow(st.count*24 + 1024)
+			w := colstore.NewWriter(&buf, colstore.Options{Metrics: s.colM})
+			// Writer errors are sticky and surface from Close.
+			if err := st.readChunks(func(recs []tracefmt.Record) { w.Append(recs) }); err != nil {
+				return err
+			}
+			segSum, err := w.Close()
+			if err != nil {
+				return fmt.Errorf("collect: encode %q segment: %w", machine, err)
+			}
+			// Clone drops the Grow headroom the Store would otherwise keep.
+			st.seg, st.segSum = bytes.Clone(buf.Bytes()), segSum
 		}
-		out[m] = recs
+		seg, sum = st.seg, st.segSum
+		return nil
+	})
+	return seg, sum, err
+}
+
+// InstallSegment installs a machine's trace from its colstore segment —
+// the resume path of the fleet engine — and returns its record count.
+// The Store keeps the segment and rebuilds the DEFLATE stream by
+// appending the segment's records. The compressor emits only full
+// windows until it is closed, so its output depends on the record bytes
+// alone, not on how they were split across Append calls: the rebuilt
+// stream is byte-identical to the one the records were first collected
+// into. A segment with no records installs nothing (a fresh run that
+// produced none has no stream either); installing over an existing
+// stream fails.
+func (s *Store) InstallSegment(machine string, data []byte) (int, error) {
+	seg, err := colstore.OpenSegment(data, nil)
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	if seg.Records() == 0 {
+		return 0, nil
+	}
+	st, err := newStream()
+	if err != nil {
+		return 0, err
+	}
+	it := seg.Batches(colstore.Predicate{}, colstore.ScanAllNumeric|colstore.ScanName)
+	defer it.Close()
+	var (
+		b    colstore.Batch
+		recs []tracefmt.Record
+	)
+	for {
+		b.Reset()
+		ok, err := it.Next(&b)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		recs = recs[:0]
+		for i := 0; i < b.N; i++ {
+			recs = append(recs, b.Record(i))
+		}
+		if err := tracefmt.WriteAll(st.zw, recs); err != nil {
+			return 0, err
+		}
+		st.count += len(recs)
+	}
+	if st.count != seg.Records() {
+		return 0, fmt.Errorf("%w: segment %q decoded %d of %d records", ErrCountMismatch, machine, st.count, seg.Records())
+	}
+	if err := st.zw.Close(); err != nil {
+		return 0, err
+	}
+	st.closed = true
+	st.seg = data
+	st.segSum = colstore.Summary{Records: seg.Records(), Blocks: seg.Blocks(), Bytes: seg.Bytes(), SHA: seg.SHA256()}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.streams[machine]; ok {
+		return 0, fmt.Errorf("collect: install: stream %q already exists", machine)
+	}
+	s.streams[machine] = st
+	return st.count, nil
 }
 
 // SafeName flattens a machine name into a file name.
@@ -397,9 +470,10 @@ const StemManifestName = "machines.json"
 
 // ErrManifestMismatch reports a corpus directory whose stem manifest
 // disagrees with the files on disk — a segment file whose stem the
-// manifest does not mention. That means the directory holds a mix of
-// corpora (or a manifest from a different save) and the true machine
-// names cannot be trusted; callers test with errors.Is.
+// manifest does not mention, or two segments it maps to one machine
+// name. That means the directory holds a mix of corpora (or a manifest
+// from a different save) and the true machine names cannot be trusted;
+// callers test with errors.Is.
 var ErrManifestMismatch = errors.New("collect: stem manifest mismatch")
 
 // stemManifest is the on-disk schema of StemManifestName.

@@ -12,7 +12,7 @@ import (
 // as the append-growing Next loop did.
 func TestRecordsAllocations(t *testing.T) {
 	const n = 50000
-	s := NewStore()
+	s := NewStore(nil)
 	if err := s.Append("m", mkRecs(n, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +43,24 @@ func TestRecordsAllocations(t *testing.T) {
 // against the stream: both a short and a long stream are corruption
 // errors, never a silently truncated or padded result.
 func TestRecordsCountVerified(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	if err := s.Append("m", mkRecs(100, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	data, count, err := s.ExportStream("m")
-	if err != nil {
-		t.Fatal(err)
+	// Corrupt copies: the same compressed bytes under a wrong count.
+	src := s.streams["m"]
+	withCount := func(count int) *Store {
+		c := NewStore(nil)
+		st := &stream{closed: true, count: count}
+		st.buf.Write(src.buf.Bytes())
+		c.streams["m"] = st
+		return c
 	}
 
-	short := NewStore()
-	if err := short.ImportStream("m", data, count+1); err != nil {
-		t.Fatal(err)
-	}
+	short := withCount(src.count + 1)
 	if _, err := short.Records("m"); err == nil || !strings.Contains(err.Error(), "ended after") {
 		t.Errorf("over-count decode error = %v, want stream-ended error", err)
 	} else if !errors.Is(err, ErrCountMismatch) {
@@ -67,10 +69,7 @@ func TestRecordsCountVerified(t *testing.T) {
 		t.Errorf("count mismatch %v must not look like the benign ErrNoRecords", err)
 	}
 
-	long := NewStore()
-	if err := long.ImportStream("m", data, count-1); err != nil {
-		t.Fatal(err)
-	}
+	long := withCount(src.count - 1)
 	if _, err := long.Records("m"); err == nil || !strings.Contains(err.Error(), "more than") {
 		t.Errorf("under-count decode error = %v, want extra-records error", err)
 	} else if !errors.Is(err, ErrCountMismatch) {
@@ -81,7 +80,7 @@ func TestRecordsCountVerified(t *testing.T) {
 // TestRecordsMatchAppended is the round-trip check for the pre-sized
 // decode: everything appended comes back bit-exact, in order.
 func TestRecordsMatchAppended(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	want := mkRecs(3123, 7) // not a multiple of the writer chunk size
 	if err := s.Append("m", want[:1000]); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestCollectFaultsStudyByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	srv := collect.Serve(ln, store, nil)
 	inj := collect.RandomFaults(sim.NewRNG(9), 30, 2, 2_000, 48_000)
 

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/collect"
+	"repro/internal/colstore"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -127,6 +131,50 @@ func TestStudyCheckpointResume(t *testing.T) {
 		}
 		if len(mt.ProcNames) == 0 {
 			t.Errorf("machine %s: process dimension lost on resume", mt.Name)
+		}
+	}
+}
+
+// TestCheckpointedStudyEncodesOnce: a checkpointed run encodes each
+// machine's segment once, for its checkpoint, and the save afterwards
+// writes those same bytes instead of encoding again.
+func TestCheckpointedStudyEncodesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("study run in -short mode")
+	}
+	cfg := fleetCfg(2)
+	cfg.CheckpointDir = t.TempDir()
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	s := NewStudy(cfg)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n := colstore.NewMetrics(reg).SegmentsWritten.Value(); n != 4 {
+		t.Errorf("4-machine checkpointed study encoded %d segments, want 4", n)
+	}
+	for _, name := range s.Store.Machines() {
+		seg, err := s.Store.Segment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(filepath.Join(dir, collect.SafeName(name)+collect.ColumnarExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved, seg) {
+			t.Errorf("%s: saved segment differs from the store's", name)
+		}
+		ck, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, collect.SafeName(name)+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(ck, seg) {
+			t.Errorf("%s: checkpoint does not end in the store's segment", name)
 		}
 	}
 }

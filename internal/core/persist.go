@@ -29,23 +29,17 @@ type manifestEntry struct {
 }
 
 // Save writes the collected corpus, snapshots and the machine manifest
-// into dir. Each machine's trace is one colstore segment <stem>.fsc;
-// restored machines reuse the segment carried by their checkpoint
-// instead of re-encoding. Each snapshot is one <machine>-NNN.snap file
-// in the binary snapshot codec (snapshot.Encode: magic, header, one
-// flag-prefixed varint record per walk entry, SHA-256 trailer). The
-// study must have Run.
+// into dir. Each machine's trace is one colstore segment <stem>.fsc, the
+// one the Store encodes once per machine (a checkpointed or restored
+// machine's segment is already there). Each snapshot is one
+// <machine>-NNN.snap file in the binary snapshot codec (snapshot.Encode:
+// magic, header, one flag-prefixed varint record per walk entry, SHA-256
+// trailer). The study must have Run.
 func (s *Study) Save(dir string) error {
 	if !s.ran {
 		return fmt.Errorf("core: Save before Run")
 	}
-	prebuilt := map[string][]byte{}
-	for i, r := range s.restored {
-		if r != nil && r.Segment != nil {
-			prebuilt[s.specs[i].name] = r.Segment
-		}
-	}
-	if _, err := s.Store.SaveColumnarDir(dir, colstore.Options{Metrics: s.colMetrics}, prebuilt); err != nil {
+	if _, err := s.Store.SaveColumnarDir(dir); err != nil {
 		return err
 	}
 	var man manifest
@@ -114,6 +108,8 @@ func LoadCorpusTrace(dir string, reg *obs.Registry, tr *trace.Tracer) (*Corpus, 
 		if err := json.Unmarshal(data, &man); err != nil {
 			return nil, fmt.Errorf("core: manifest: %w", err)
 		}
+	} else if !os.IsNotExist(err) {
+		return nil, fmt.Errorf("core: manifest: %w", err)
 	}
 	cats := map[string]machine.Category{}
 	procs := map[string]map[uint32]string{}

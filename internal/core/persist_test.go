@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collect"
 	"repro/internal/ntos/machine"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
+	"repro/internal/tracefmt"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -156,4 +158,60 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), name) {
 		t.Fatalf("load with a flipped byte in %s: err = %v, want an error naming it", name, err)
 	}
+}
+
+// TestLoadManifestUnreadableFails: a manifest.json that exists but cannot
+// be read fails the load; only a missing manifest is tolerated.
+func TestLoadManifestUnreadableFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "manifest.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCorpusTrace(dir, nil, nil); err == nil || !strings.Contains(err.Error(), "manifest") {
+		t.Fatalf("load with an unreadable manifest.json: err = %v, want a manifest error", err)
+	}
+}
+
+// FuzzLoadCorpusManifest feeds arbitrary bytes to LoadCorpusTrace as the
+// manifest.json of a corpus holding one small segment. Every input
+// either fails the load or yields a corpus of exactly that one machine
+// with all of its records.
+func FuzzLoadCorpusManifest(f *testing.F) {
+	src := collect.NewStore(nil)
+	src.Append("walk-up-01", []tracefmt.Record{
+		{Kind: tracefmt.EvRead, FileID: 1, Proc: 7, Start: 10, End: 20},
+		{Kind: tracefmt.EvWrite, FileID: 2, Proc: 7, Start: 30, End: 45},
+		{Kind: tracefmt.EvRead, FileID: 1, Proc: 8, Start: 50, End: 52},
+	})
+	if err := src.Finalize(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := src.Segment("walk-up-01")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"machines":[{"name":"walk-up-01","category":0,"proc_names":{"7":"a.exe"}}]}`))
+	f.Add([]byte(`{"machines":[{"name":"walk-up-01"},{"name":"ghost","category":3}]}`))
+	f.Add([]byte(`{"machines":[{"name":"walk-up-01","category":300}]}`))
+	f.Add([]byte(`{"machines":null}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "walk-up-01"+collect.ColumnarExt), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadCorpusTrace(dir, nil, nil)
+		if err != nil {
+			return
+		}
+		if len(c.DS.Machines) != 1 || c.DS.Machines[0].Name != "walk-up-01" || c.DS.Machines[0].Len() != 3 {
+			t.Fatalf("loaded %d machines, want walk-up-01 with 3 records", len(c.DS.Machines))
+		}
+		if len(c.Segments) != 1 || c.Segments["walk-up-01"] == nil {
+			t.Fatalf("loaded segments %v, want walk-up-01 only", c.Segments)
+		}
+	})
 }

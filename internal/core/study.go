@@ -153,13 +153,11 @@ type Study struct {
 	ran      bool
 
 	// mObs is the shared per-layer instrumentation bundle (nil when
-	// Cfg.Obs is nil); decodeHist/computeHist time the analysis workers;
-	// colMetrics instruments the columnar store.
+	// Cfg.Obs is nil); decodeHist/computeHist time the analysis workers.
 	mObs        *machine.Obs
 	decodeHist  *obs.Histogram
 	computeHist *obs.Histogram
 	kernelObs   *report.KernelTimers
-	colMetrics  *colstore.Metrics
 }
 
 // fleetSpecs lays out the machine fleet: the paper's 45-machine category
@@ -240,10 +238,9 @@ func NewStudy(cfg Config) *Study {
 	}
 	s := &Study{
 		Cfg:   cfg,
-		Store: collect.NewStore(),
+		Store: collect.NewStore(colstore.NewMetrics(cfg.Obs)),
 	}
 	s.mObs = machine.NewObs(cfg.Obs)
-	s.colMetrics = colstore.NewMetrics(cfg.Obs)
 	if cfg.Obs != nil {
 		s.decodeHist = cfg.Obs.Histogram("analysis_decode_machine_us",
 			"Wall-clock microseconds to decode one machine's trace stream.")

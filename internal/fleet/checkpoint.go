@@ -16,46 +16,39 @@ import (
 )
 
 // A checkpoint is one completed shard on disk: a small JSON header
-// (machine identity, fingerprint, record count, process-name dimension),
-// the machine's finalized compressed trace stream verbatim, its
-// snapshots and its colstore segment. The stream bytes are stored
-// exactly as the collect.Store holds them, so restore is an import, not
-// a re-compression — the byte-identical-store invariant survives
-// kill/resume — and the segment lets a resumed study save its corpus
-// without re-encoding.
+// (machine identity, fingerprint, process-name dimension), its snapshots
+// and its colstore segment — the one encoded copy of the machine's trace,
+// the same bytes the collect.Store keeps and a save writes as <stem>.fsc.
+// Restore installs the segment into the store, which rebuilds the
+// machine's DEFLATE stream by appending the segment's records; that
+// stream is byte-identical to the original because Store.Append never
+// flushes the compressor, so the byte-identical-store invariant survives
+// kill/resume.
 //
 // Layout: magic, then little-endian length-prefixed sections
 //
-//	"FSFLEET2" | u32 len + header JSON | u64 len + stream | u32 snapCount
+//	"FSFLEET3" | u32 len + header JSON | u32 snapCount
 //	| per snapshot: u64 len + snapshot.Encode bytes
-//	| u64 len + colstore segment
-//
-// The writer always adds the segment section. Loaders still accept a
-// file that ends after the snapshots (written before segments were
-// always carried) and treat it as "no segment".
+//	| u64 len + colstore segment (required; a machine with no records
+//	  carries a zero-record segment)
 //
 // Files are written to <name>.ckpt.tmp and renamed into place, so a kill
 // mid-write leaves no valid-looking partial checkpoint; loaders treat any
-// malformed file (FSFLEET1 files from the JSON-snapshot layout included)
-// as "not checkpointed" and re-run the machine.
+// malformed file (FSFLEET1 and FSFLEET2 files from earlier layouts
+// included) as "not checkpointed" and re-run the machine.
 
-const ckptMagic = "FSFLEET2"
+const ckptMagic = "FSFLEET3"
 
 type ckptHeader struct {
 	Name        string            `json:"name"`
 	Fingerprint string            `json:"fingerprint"`
-	Records     int               `json:"records"`
 	ProcNames   map[uint32]string `json:"proc_names,omitempty"`
 }
 
 type checkpoint struct {
-	Name        string
-	Fingerprint string
-	Records     int
-	ProcNames   map[uint32]string
-	Stream      []byte
-	Snapshots   []*snapshot.Snapshot
-	Segment     []byte
+	ckptHeader
+	Snapshots []*snapshot.Snapshot
+	Segment   []byte
 }
 
 func checkpointPath(dir, machine string) string {
@@ -64,27 +57,17 @@ func checkpointPath(dir, machine string) string {
 
 // writeCheckpoint persists a completed shard atomically.
 func (e *Engine) writeCheckpoint(sh *shard) error {
-	stream, count, err := e.store.ExportStream(sh.spec.Name)
-	if err != nil && !errors.Is(err, collect.ErrNoRecords) {
-		return err
+	seg, err := e.store.Segment(sh.spec.Name)
+	if errors.Is(err, collect.ErrNoRecords) {
+		seg, _, err = colstore.EncodeSegment(nil, colstore.Options{})
 	}
-	// A machine with no records gets an empty segment.
-	recs, err := e.store.Records(sh.spec.Name)
-	if err != nil && !errors.Is(err, collect.ErrNoRecords) {
-		return err
-	}
-	seg, _, err := colstore.EncodeSegment(recs, colstore.Options{Metrics: e.colM})
 	if err != nil {
-		return fmt.Errorf("fleet: checkpoint segment %q: %w", sh.spec.Name, err)
+		return err
 	}
 	data, err := encodeCheckpoint(&checkpoint{
-		Name:        sh.spec.Name,
-		Fingerprint: sh.spec.Fingerprint,
-		Records:     count,
-		ProcNames:   sh.procNames,
-		Stream:      stream,
-		Snapshots:   sh.snaps,
-		Segment:     seg,
+		ckptHeader: ckptHeader{Name: sh.spec.Name, Fingerprint: sh.spec.Fingerprint, ProcNames: sh.procNames},
+		Snapshots:  sh.snaps,
+		Segment:    seg,
 	})
 	if err != nil {
 		return err
@@ -100,34 +83,24 @@ func (e *Engine) writeCheckpoint(sh *shard) error {
 	return os.Rename(tmp, final)
 }
 
-// encodeCheckpoint lays ck out in the checkpoint format; a nil Segment
-// writes no segment section.
+// encodeCheckpoint lays ck out in the checkpoint format.
 func encodeCheckpoint(ck *checkpoint) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(ckptMagic)
-	head, err := json.Marshal(ckptHeader{
-		Name:        ck.Name,
-		Fingerprint: ck.Fingerprint,
-		Records:     ck.Records,
-		ProcNames:   ck.ProcNames,
-	})
+	head, err := json.Marshal(ck.ckptHeader)
 	if err != nil {
 		return nil, err
 	}
 	binary.Write(&buf, binary.LittleEndian, uint32(len(head)))
 	buf.Write(head)
-	binary.Write(&buf, binary.LittleEndian, uint64(len(ck.Stream)))
-	buf.Write(ck.Stream)
 	binary.Write(&buf, binary.LittleEndian, uint32(len(ck.Snapshots)))
 	for _, snap := range ck.Snapshots {
 		data := snapshot.Encode(snap)
 		binary.Write(&buf, binary.LittleEndian, uint64(len(data)))
 		buf.Write(data)
 	}
-	if ck.Segment != nil {
-		binary.Write(&buf, binary.LittleEndian, uint64(len(ck.Segment)))
-		buf.Write(ck.Segment)
-	}
+	binary.Write(&buf, binary.LittleEndian, uint64(len(ck.Segment)))
+	buf.Write(ck.Segment)
 	return buf.Bytes(), nil
 }
 
@@ -173,28 +146,11 @@ func decodeCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 	if h.Fingerprint != fingerprint {
 		return nil, errors.New("fingerprint mismatch (checkpoint from a different study configuration)")
 	}
-	var streamLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &streamLen); err != nil {
-		return nil, err
-	}
-	if streamLen > uint64(r.Len()) {
-		return nil, errors.New("truncated stream")
-	}
-	stream := make([]byte, streamLen)
-	if _, err := io.ReadFull(r, stream); err != nil {
-		return nil, err
-	}
 	var snapCount uint32
 	if err := binary.Read(r, binary.LittleEndian, &snapCount); err != nil {
 		return nil, err
 	}
-	ck := &checkpoint{
-		Name:        h.Name,
-		Fingerprint: h.Fingerprint,
-		Records:     h.Records,
-		ProcNames:   h.ProcNames,
-		Stream:      stream,
-	}
+	ck := &checkpoint{ckptHeader: h}
 	for i := uint32(0); i < snapCount; i++ {
 		var snapLen uint64
 		if err := binary.Read(r, binary.LittleEndian, &snapLen); err != nil {
@@ -213,29 +169,22 @@ func decodeCheckpoint(data []byte, fingerprint string) (*checkpoint, error) {
 		}
 		ck.Snapshots = append(ck.Snapshots, snap)
 	}
-	// Segment section, absent from older checkpoints.
-	if r.Len() > 0 {
-		var segLen uint64
-		if err := binary.Read(r, binary.LittleEndian, &segLen); err != nil {
-			return nil, err
-		}
-		if segLen != uint64(r.Len()) {
-			return nil, fmt.Errorf("segment section length %d != %d remaining bytes", segLen, r.Len())
-		}
-		seg := make([]byte, segLen)
-		if _, err := io.ReadFull(r, seg); err != nil {
-			return nil, err
-		}
-		// Validate now so restore never hands back a corrupt segment;
-		// the count must also match the row stream's.
-		opened, err := colstore.OpenSegment(seg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("segment section: %w", err)
-		}
-		if opened.Records() != h.Records {
-			return nil, fmt.Errorf("segment section holds %d records, header says %d", opened.Records(), h.Records)
-		}
-		ck.Segment = seg
+	var segLen uint64
+	if err := binary.Read(r, binary.LittleEndian, &segLen); err != nil {
+		return nil, fmt.Errorf("segment section: %w", err)
 	}
+	if segLen != uint64(r.Len()) {
+		return nil, fmt.Errorf("segment section length %d != %d remaining bytes", segLen, r.Len())
+	}
+	seg := make([]byte, segLen)
+	if _, err := io.ReadFull(r, seg); err != nil {
+		return nil, err
+	}
+	// Validate now so restore never installs a corrupt segment envelope;
+	// block payloads are CRC-checked as restore decodes them.
+	if _, err := colstore.OpenSegment(seg, nil); err != nil {
+		return nil, fmt.Errorf("segment section: %w", err)
+	}
+	ck.Segment = seg
 	return ck, nil
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // sampleCheckpoint builds a checkpoint with every section present: a
-// header, an (opaque) stream, one snapshot and a segment.
+// header, one snapshot and a segment.
 func sampleCheckpoint(tb testing.TB) *checkpoint {
 	tb.Helper()
 	recs := make([]tracefmt.Record, 40)
@@ -31,13 +32,9 @@ func sampleCheckpoint(tb testing.TB) *checkpoint {
 	fs.MkdirAll(`\docs`, 10)
 	fs.CreateFile(`\docs\a.txt`, 100, types.AttrNormal, 20)
 	return &checkpoint{
-		Name:        "m00",
-		Fingerprint: "fp",
-		Records:     len(recs),
-		ProcNames:   map[uint32]string{1: "a.exe"},
-		Stream:      []byte("stream bytes"),
-		Snapshots:   []*snapshot.Snapshot{snapshot.Take("m00", `C:`, fs, 30)},
-		Segment:     seg,
+		ckptHeader: ckptHeader{Name: "m00", Fingerprint: "fp", ProcNames: map[uint32]string{1: "a.exe"}},
+		Snapshots:  []*snapshot.Snapshot{snapshot.Take("m00", `C:`, fs, 30)},
+		Segment:    seg,
 	}
 }
 
@@ -58,55 +55,63 @@ func TestCheckpointHeaderLengthBounded(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsOldMagic: checkpoints of earlier layouts — the
+// JSON-snapshot FSFLEET1 and the stream-carrying FSFLEET2 — fail to
+// decode, so their machines re-run.
 func TestCheckpointRejectsOldMagic(t *testing.T) {
-	data, err := encodeCheckpoint(sampleCheckpoint(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeCheckpoint(data, "fp"); err != nil {
-		t.Fatalf("own encoding rejected: %v", err)
-	}
-	copy(data, "FSFLEET1")
-	if _, err := decodeCheckpoint(data, "fp"); err == nil {
-		t.Error("accepted a checkpoint from the JSON-snapshot layout")
-	}
-}
-
-// TestCheckpointWithoutSegment: a checkpoint that ends after its
-// snapshots (written before every checkpoint carried a segment) still
-// decodes, with no segment to reuse.
-func TestCheckpointWithoutSegment(t *testing.T) {
 	ck := sampleCheckpoint(t)
-	ck.Segment = nil
 	data, err := encodeCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := decodeCheckpoint(data, "fp")
 	if err != nil {
-		t.Fatalf("checkpoint without a segment section rejected: %v", err)
+		t.Fatalf("own encoding rejected: %v", err)
 	}
-	if got.Segment != nil || got.Records != ck.Records || len(got.Snapshots) != 1 {
-		t.Fatalf("decoded %d records, %d snapshots, segment %v", got.Records, len(got.Snapshots), got.Segment != nil)
+	if got.Name != ck.Name || len(got.Snapshots) != 1 || !bytes.Equal(got.Segment, ck.Segment) {
+		t.Fatalf("decoded %q, %d snapshots, segment equal %v", got.Name, len(got.Snapshots), bytes.Equal(got.Segment, ck.Segment))
+	}
+	for _, magic := range []string{"FSFLEET1", "FSFLEET2"} {
+		old := append([]byte(nil), data...)
+		copy(old, magic)
+		if _, err := decodeCheckpoint(old, "fp"); err == nil {
+			t.Errorf("accepted a %s checkpoint", magic)
+		}
+	}
+}
+
+// TestCheckpointWithoutSegment: the segment is the checkpoint's only
+// copy of the machine's trace, so a file that ends after its snapshots
+// fails to decode and its machine re-runs.
+func TestCheckpointWithoutSegment(t *testing.T) {
+	ck := sampleCheckpoint(t)
+	data, err := encodeCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeCheckpoint(data[:len(data)-len(ck.Segment)-8], "fp"); err == nil {
+		t.Error("accepted a checkpoint without a segment section")
 	}
 }
 
 // FuzzLoadCheckpoint: any input either fails to decode or yields a
-// checkpoint whose snapshots resolve and whose segment (when present)
-// opens and holds the header's record count.
+// checkpoint whose snapshots resolve and whose segment opens.
 func FuzzLoadCheckpoint(f *testing.F) {
 	ck := sampleCheckpoint(f)
 	full, err := encodeCheckpoint(ck)
 	if err != nil {
 		f.Fatal(err)
 	}
-	ck.Segment = nil
-	noSegment, err := encodeCheckpoint(ck)
+	ck.Segment, _, err = colstore.EncodeSegment(nil, colstore.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	emptySegment, err := encodeCheckpoint(ck)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full)
-	f.Add(noSegment)
+	f.Add(emptySegment)
 	f.Add(full[:len(full)/2])
 	f.Add(binary.LittleEndian.AppendUint32([]byte(ckptMagic), 0xffffffff))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -117,15 +122,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		for _, s := range ck.Snapshots {
 			s.Entries()
 		}
-		if ck.Segment == nil {
-			return
-		}
-		seg, err := colstore.OpenSegment(ck.Segment, nil)
-		if err != nil {
+		if _, err := colstore.OpenSegment(ck.Segment, nil); err != nil {
 			t.Fatalf("accepted checkpoint's segment does not open: %v", err)
-		}
-		if seg.Records() != ck.Records {
-			t.Fatalf("segment holds %d records, header says %d", seg.Records(), ck.Records)
 		}
 	})
 }

@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/collect"
-	"repro/internal/colstore"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/sim"
@@ -141,17 +140,12 @@ type Restored struct {
 	Records   int
 	ProcNames map[uint32]string
 	Snapshots []*snapshot.Snapshot
-	// Segment is the shard's colstore segment (nil for a checkpoint
-	// written without one): already validated to open cleanly, reusable
-	// without re-encoding the stream.
-	Segment []byte
 }
 
 // Engine executes a fleet of shards over a worker pool.
 type Engine struct {
 	cfg   Config
 	store *collect.Store
-	colM  *colstore.Metrics
 
 	// Fleet-level aggregates, recomputed by Status (and therefore by the
 	// registry's gather hook before every export).
@@ -180,7 +174,6 @@ func New(cfg Config, store *collect.Store) *Engine {
 		cfg.Workers = 1
 	}
 	e := &Engine{cfg: cfg, store: store, byName: map[string]*shard{}}
-	e.colM = colstore.NewMetrics(cfg.Obs)
 	if r := cfg.Obs; r != nil {
 		e.aggEventsPerSec = r.FloatGauge("fleet_events_per_sec",
 			"aggregate scheduler events per wall second")
@@ -245,11 +238,11 @@ func (e *Engine) register(sh *shard) error {
 }
 
 // Restore attempts to load a completed shard from the checkpoint
-// directory. On success the stream is imported into the store and the
-// shard is registered as already done; a missing, corrupt or
-// fingerprint-mismatched checkpoint returns false and the caller builds
-// and runs the shard normally — so a checkpoint killed mid-write simply
-// re-runs its machine.
+// directory. On success the segment is installed into the store (which
+// rebuilds the machine's stream from it) and the shard is registered as
+// already done; a missing, corrupt or fingerprint-mismatched checkpoint
+// returns false and the caller builds and runs the shard normally — so a
+// checkpoint killed mid-write simply re-runs its machine.
 func (e *Engine) Restore(spec Spec) (*Restored, bool) {
 	if e.cfg.CheckpointDir == "" || e.cfg.Remote {
 		return nil, false
@@ -258,18 +251,19 @@ func (e *Engine) Restore(spec Spec) (*Restored, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if err := e.store.ImportStream(spec.Name, ck.Stream, ck.Records); err != nil {
+	records, err := e.store.InstallSegment(spec.Name, ck.Segment)
+	if err != nil {
 		return nil, false
 	}
 	sh := &shard{spec: spec, snaps: ck.Snapshots, procNames: ck.ProcNames}
 	e.newShardGauges(sh)
 	sh.state.Store(stateRestored)
-	sh.records.Set(int64(ck.Records))
+	sh.records.Set(int64(records))
 	sh.simNow.Set(int64(e.cfg.Duration))
 	if err := e.register(sh); err != nil {
 		return nil, false
 	}
-	return &Restored{Records: ck.Records, ProcNames: ck.ProcNames, Snapshots: ck.Snapshots, Segment: ck.Segment}, true
+	return &Restored{Records: records, ProcNames: ck.ProcNames, Snapshots: ck.Snapshots}, true
 }
 
 // TraceBuffer implements agent.Sink: records merge into the shared store

@@ -55,7 +55,7 @@ func addFakeShard(t *testing.T, e *Engine, idx int, name string, rng *sim.RNG) {
 // stream sums.
 func runFleet(t *testing.T, machines, workers int, dir string) map[string][32]byte {
 	t.Helper()
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	e := New(Config{Duration: sim.Hour, Workers: workers, CheckpointDir: dir}, store)
 	rngs := sim.NewRNG(99).Split(machines)
 	for i := 0; i < machines; i++ {
@@ -93,7 +93,7 @@ func TestCheckpointRestore(t *testing.T) {
 	base := runFleet(t, 4, 2, dir)
 
 	// A fresh engine restores every shard without running anything.
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	e := New(Config{Duration: sim.Hour, Workers: 2, CheckpointDir: dir}, store)
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("m%02d", i)
@@ -126,7 +126,7 @@ func TestCheckpointRestore(t *testing.T) {
 func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
 	runFleet(t, 1, 1, dir)
-	e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, collect.NewStore())
+	e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, collect.NewStore(nil))
 	if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "other-config"}); ok {
 		t.Error("restore accepted a checkpoint from a different configuration")
 	}
@@ -143,14 +143,14 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, collect.NewStore())
+	e := New(Config{Duration: sim.Hour, CheckpointDir: dir}, collect.NewStore(nil))
 	if _, ok := e.Restore(Spec{Index: 0, Name: "m00", Fingerprint: "fp-m00"}); ok {
 		t.Error("restore accepted a truncated checkpoint")
 	}
 }
 
 func TestDuplicateShardName(t *testing.T) {
-	e := New(Config{Duration: sim.Hour}, collect.NewStore())
+	e := New(Config{Duration: sim.Hour}, collect.NewStore(nil))
 	if err := e.Add(Spec{Index: 0, Name: "dup"}, sim.NewScheduler(), Hooks{}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDuplicateShardName(t *testing.T) {
 }
 
 func TestCancellationLeavesShardsResumable(t *testing.T) {
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	e := New(Config{Duration: 1000 * sim.Hour, Slice: sim.Minute}, store)
 	rngs := sim.NewRNG(3).Split(2)
 	for i := 0; i < 2; i++ {
@@ -178,7 +178,7 @@ func TestCancellationLeavesShardsResumable(t *testing.T) {
 }
 
 func TestStatusProgress(t *testing.T) {
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	e := New(Config{Duration: sim.Hour}, store)
 	rngs := sim.NewRNG(7).Split(3)
 	for i := 0; i < 3; i++ {
@@ -214,7 +214,7 @@ func TestStatusProgress(t *testing.T) {
 }
 
 func TestSnapshotsMergeInMachineOrder(t *testing.T) {
-	e := New(Config{Duration: sim.Hour, Workers: 4}, collect.NewStore())
+	e := New(Config{Duration: sim.Hour, Workers: 4}, collect.NewStore(nil))
 	rngs := sim.NewRNG(11).Split(5)
 	for i := 0; i < 5; i++ {
 		addFakeShard(t, e, i, fmt.Sprintf("m%02d", i), rngs[i])
@@ -238,7 +238,7 @@ func TestSnapshotsMergeInMachineOrder(t *testing.T) {
 
 func TestRemoteModeSkipsCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	store := collect.NewStore()
+	store := collect.NewStore(nil)
 	e := New(Config{Duration: sim.Hour, Workers: 2, CheckpointDir: dir, Remote: true}, store)
 	rngs := sim.NewRNG(5).Split(2)
 	for i := 0; i < 2; i++ {
@@ -264,7 +264,7 @@ func TestRemoteModeSkipsCheckpoints(t *testing.T) {
 }
 
 func TestCloseHookErrorFailsShard(t *testing.T) {
-	e := New(Config{Duration: sim.Minute}, collect.NewStore())
+	e := New(Config{Duration: sim.Minute}, collect.NewStore(nil))
 	sched := sim.NewScheduler()
 	closeErr := fmt.Errorf("sink drain failed")
 	err := e.Add(Spec{Index: 0, Name: "m00", Fingerprint: "fp"}, sched, Hooks{

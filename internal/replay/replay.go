@@ -89,7 +89,7 @@ type Result struct {
 // replay independently and a fixed (corpus, Config) pair always produces
 // the identical Result.
 func Replay(ds *analysis.DataSet, cfg Config) (*Result, error) {
-	res := &Result{Mode: cfg.Mode, Store: collect.NewStore()}
+	res := &Result{Mode: cfg.Mode, Store: collect.NewStore(nil)}
 	for _, mt := range ds.Machines {
 		mr, err := replayMachine(mt, cfg, res.Store)
 		if err != nil {

@@ -285,27 +285,6 @@ func (r *Results) machineNames() []string {
 	return names
 }
 
-// perMachineRange computes f per machine and returns mean, min, max.
-func (r *Results) perMachineRange(f func(ins []*analysis.Instance) float64) (avg, lo, hi float64) {
-	var vals []float64
-	for _, name := range r.machineNames() {
-		vals = append(vals, f(r.PerMachine[name]))
-	}
-	if len(vals) == 0 {
-		return 0, 0, 0
-	}
-	lo, hi = vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return mean(vals), lo, hi
-}
-
 // HoldCDF builds the hold-time CDF (ms) under a predicate.
 func (r *Results) HoldCDF(pred func(*analysis.Instance) bool) *stats.CDF {
 	return stats.NewCDF(analysis.HoldTimes(r.All, pred))

@@ -20,9 +20,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// When returns the virtual time the event is scheduled for.
-func (e *Event) When() Time { return e.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
